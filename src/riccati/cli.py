@@ -7,7 +7,6 @@ and LF line endings; wall-clock columns are informational only.
 
 import argparse
 import csv
-import math
 import os
 import sys
 import time
@@ -15,15 +14,24 @@ import time
 import numpy as np
 
 from . import oracle
-from .care import CareProblem, SignOptions, care_sda_solve, hamiltonian, newton_care_solve, sign_solve
-from .dare import DareProblem, dare_fixed_point_solve, dare_residual, sda_solve, wiener_hopf_check
+from .care import (
+    SignOptions,
+    care_residual,
+    care_sda_solve,
+    default_cayley_tau,
+    hamiltonian,
+    newton_care_solve,
+    sign_solve,
+)
+from .dare import DoublingState, dare_fixed_point_solve, dare_residual, sda_solve, sda_step, wiener_hopf_check
 from .errors import OverflowGuard, RegionCountMismatch, RiccatiError
 from .generators import GeneratorSpec, gen_problem
 from .io import load_problem, save_problem, to_problem
-from .lyapunov import LyapunovProblem, ShiftSequence, adi_solve, cayley_to_stein, lr_adi_solve, lyap_residual
-from .nme import NmeProblem, cr_step, cyclic_reduction_solve, nme_fixed_point_solve, nme_residual, spectral_factorize, uqme_residual
+from .linalg import solve_linear
+from .lyapunov import ShiftSequence, adi_solve, cayley_to_stein, lr_adi_solve, lyap_residual
+from .nme import CrState, cr_step, cyclic_reduction_solve, nme_fixed_point_solve, nme_residual, spectral_factorize, uqme_residual
 from .reporting import SolveOptions
-from .stein import SteinProblem, smith_solve, squared_smith_solve, stein_residual
+from .stein import smith_solve, squared_smith_solve, stein_residual
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -65,12 +73,8 @@ def _oracle_cap(default: int) -> int:
         return default
 
 
-def _heuristic_tau(a: np.ndarray) -> float:
-    return max(1.0, float(np.linalg.norm(a)) / math.sqrt(a.shape[0]))
-
-
 def _default_shifts(problem) -> ShiftSequence:
-    return ShiftSequence(shifts=(_heuristic_tau(problem.A),))
+    return ShiftSequence(shifts=(default_cayley_tau(problem),))
 
 
 def _write_trace(path, history, elapsed):
@@ -115,8 +119,6 @@ def _solve_dispatch(pf, method: str, opts: SolveOptions, shifts: ShiftSequence |
             sol = sign_solve(problem, SignOptions(scaling="determinantal", tol=opts.tol))
         else:  # newton
             sol = newton_care_solve(problem, np.zeros((problem.n, problem.n)), opts)
-        from .care import care_residual
-
         return sol.report, care_residual(sol.X_plus, problem)
     # nme
     solver = cyclic_reduction_solve if method == "cr" else nme_fixed_point_solve
@@ -198,8 +200,6 @@ def _verify_checks(pf) -> tuple[list, bool]:
         # the unit-circle example) still get the spectral checks
         a, g, q = (pf.matrices[k] for k in ("A", "G", "Q"))
         n, eye, zero = pf.n, np.eye(pf.n), np.zeros((pf.n, pf.n))
-        from .linalg import solve_linear
-
         s = solve_linear(np.block([[eye, g], [zero, a.conj().T]]), np.block([[a, zero], [-q, eye]]))
         _check(rows, "symplectic-pairing", oracle.symplectic_pairing_defect(s), 1e-6)
         try:
@@ -214,8 +214,6 @@ def _verify_checks(pf) -> tuple[list, bool]:
             if subspace_x is not None:
                 _check(rows, "subspace-vs-sda", rel(sol.X_plus, subspace_x), 1e-8)
                 _check(rows, "wiener-hopf", wiener_hopf_check(sol, problem), 1e-8)
-            from .dare import DoublingState, sda_step
-
             for k in range(min(sol.report.iterations, 3), -1, -1):
                 state = DoublingState(Ak=problem.A, Gk=problem.G, Qk=problem.Q, k=0)
                 for _ in range(k):
@@ -241,8 +239,6 @@ def _verify_checks(pf) -> tuple[list, bool]:
         if pf.n > kron_cap:
             return rows, True
         schur_state = oracle.tridiag_schur_oracle(problem, 4)
-        from .nme import CrState
-
         cr_state = cr_step(CrState(Ak=problem.A, Qk=problem.Q, Uk=problem.Q, k=0))
         defect = max(
             rel(schur_state.Ak, cr_state.Ak),

@@ -12,6 +12,7 @@ import numpy as np
 from .linalg import (
     as_matrix,
     hermitian_part,
+    lu_factor,
     psd_check,
     solve_linear,
     solve_right,
@@ -19,11 +20,12 @@ from .linalg import (
     symmetrize,
 )
 from .reporting import (
-    DEFAULT_BASIC_MAX_ITER,
     DEFAULT_DOUBLING_MAX_ITER,
     SolveOptions,
     SolveReport,
+    fixed_point_solve,
     rate_from_updates,
+    relative_residual,
 )
 
 __all__ = [
@@ -97,15 +99,14 @@ def dare_step(xk, problem: DareProblem) -> np.ndarray:
     return symmetrize(q + a.conj().T @ middle @ a)
 
 
+def _dare_scale(x, problem: DareProblem) -> float:
+    return float(np.linalg.norm(problem.Q) + np.linalg.norm(x) * (1.0 + np.linalg.norm(problem.A) ** 2))
+
+
 def dare_residual(x, problem: DareProblem) -> float:
     """Relative residual ||Q + A^*X(I+GX)^{-1}A - X|| / (||Q|| + ||X|| (1 + ||A||^2))."""
     x = as_matrix(x)
-    a, q = problem.A, problem.Q
-    raw = float(np.linalg.norm(dare_step(x, problem) - x))
-    if raw == 0.0:
-        return 0.0
-    den = float(np.linalg.norm(q) + np.linalg.norm(x) * (1.0 + np.linalg.norm(a) ** 2))
-    return raw / den
+    return relative_residual(x, dare_step(x, problem), _dare_scale(x, problem))
 
 
 def closed_loop_radius(x, problem: DareProblem, max_doublings: int = 30) -> float:
@@ -120,49 +121,29 @@ def dare_fixed_point_solve(
 ) -> DareSolution:
     """Natural fixed-point iteration from X_0 = 0 (a disguised inverse
     subspace iteration); does not produce the dual solution."""
-    max_iter = opts.resolve_max_iter(DEFAULT_BASIC_MAX_ITER)
-    x = np.zeros_like(problem.Q)
-    t0 = time.perf_counter_ns()
-    history = [dare_residual(x, problem)]
-    times = [time.perf_counter_ns() - t0]
-    updates: list[float] = []
-    converged = history[-1] <= opts.tol
-    iterations = 0
-    while not converged and iterations < max_iter:
-        xn = dare_step(x, problem)
-        updates.append(float(np.linalg.norm(xn - x)))
-        x = xn
-        iterations += 1
-        res = dare_residual(x, problem)
-        history.append(res)
-        times.append(time.perf_counter_ns() - t0)
-        if res <= opts.tol:
-            converged = True
-            break
-        if not np.isfinite(res):
-            break
-        if abs(history[-2] - history[-1]) <= opts.stagnation_tol:
-            break
-    report = SolveReport(
-        X=x,
-        converged=converged,
-        iterations=iterations,
-        residual_history=history,
-        rate_estimate=rate_from_updates(updates),
-        closed_loop_radius=closed_loop_radius(x, problem),
+    report = fixed_point_solve(
+        np.zeros_like(problem.Q),
+        lambda x: (dare_step(x, problem), _dare_scale(x, problem)),
+        opts,
     )
-    report.elapsed_ns = times
-    return DareSolution(X_plus=x, Y_plus=None, report=report)
+    report.closed_loop_radius = closed_loop_radius(report.X, problem)
+    return DareSolution(X_plus=report.X, Y_plus=None, report=report)
 
 
 def sda_step(state: DoublingState) -> DoublingState:
-    """Advance (A_k, G_k, Q_k) one doubling step."""
+    """Advance (A_k, G_k, Q_k) one doubling step.
+
+    One factorization of W = I + G_k Q_k gives V1 = W^{-1} A_k and
+    V2 = W^{-1} G_k; then A_{k+1} = A_k V1, G_{k+1} = G_k + A_k V2 A_k^* and
+    Q_{k+1} = Q_k + A_k^* Q_k V1.
+    """
     ak, gk, qk = state.Ak, state.Gk, state.Qk
-    eye = np.eye(ak.shape[0])
-    w2 = eye + qk @ gk  # I + Q_k G_k; I + G_k Q_k is its conjugate transpose
-    a_next = ak @ solve_linear(eye + gk @ qk, ak)
-    g_next = symmetrize(gk + ak @ gk @ solve_linear(w2, ak.conj().T))
-    q_next = symmetrize(qk + ak.conj().T @ solve_linear(w2, qk) @ ak)
+    n = ak.shape[0]
+    v = lu_factor(np.eye(n) + gk @ qk).solve(np.hstack([ak, gk]))
+    v1, v2 = v[:, :n], v[:, n:]
+    a_next = ak @ v1
+    g_next = symmetrize(gk + ak @ v2 @ ak.conj().T)
+    q_next = symmetrize(qk + ak.conj().T @ qk @ v1)
     return DoublingState(Ak=a_next, Gk=g_next, Qk=q_next, k=state.k + 1)
 
 

@@ -18,6 +18,8 @@ __all__ = [
     "hermitian_part",
     "symmetrize",
     "frobenius_norm",
+    "LU",
+    "lu_factor",
     "solve_linear",
     "solve_right",
     "min_pivot",
@@ -67,38 +69,58 @@ def frobenius_norm(m) -> float:
     return float(np.linalg.norm(np.asarray(m, dtype=np.complex128)))
 
 
-def _lu(m: np.ndarray):
-    # scipy wraps LAPACK getrf: Gaussian elimination with row pivoting.
-    # Singular pivots are checked by the callers, so silence scipy's warning.
+class LU:
+    """Row-pivoted LU factorization of a square matrix M, checked for singularity.
+
+    `pivots` holds the moduli of the diagonal of U; `solve(b, trans)` solves
+    M X = B (trans=0), M^T X = B (trans=1) or M^* X = B (trans=2).
+    """
+
+    def __init__(self, factors):
+        self._factors = factors
+        self.pivots = np.abs(np.diag(factors[0]))
+
+    @property
+    def min_pivot(self) -> float:
+        return float(np.min(self.pivots))
+
+    def solve(self, b, trans: int = 0) -> np.ndarray:
+        b = as_matrix(b)
+        if b.shape[0] != self.pivots.shape[0]:
+            raise SingularMatrix("dimension mismatch between M and B")
+        return scipy.linalg.lu_solve(self._factors, b, trans=trans, check_finite=False)
+
+
+def lu_factor(m) -> LU:
+    """Factor M by Gaussian elimination with row pivoting (LAPACK getrf).
+
+    Raises SingularMatrix when M is not square or a pivot falls below
+    1e-14 * ||M||_F (scaled to max(1, .) so the exact zero matrix is also
+    rejected).
+    """
+    m = as_matrix(m)
+    if m.shape[0] != m.shape[1]:
+        raise SingularMatrix("coefficient matrix must be square")
+    # singular pivots are checked here, so silence scipy's warning
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        return scipy.linalg.lu_factor(m, check_finite=False)
+        lu = LU(scipy.linalg.lu_factor(m, check_finite=False))
+    if lu.min_pivot < PIVOT_RTOL * max(1.0, float(np.linalg.norm(m))):
+        raise SingularMatrix("pivot below singularity threshold")
+    return lu
 
 
 def min_pivot(m) -> float:
-    """Smallest pivot modulus of the row-pivoted LU factorization of M."""
-    m = as_matrix(m)
-    lu, _ = _lu(m)
-    return float(np.min(np.abs(np.diag(lu))))
+    """Smallest pivot modulus of the row-pivoted LU factorization of M.
+
+    Raises SingularMatrix when that pivot is below the lu_factor threshold.
+    """
+    return lu_factor(m).min_pivot
 
 
 def solve_linear(m, b) -> np.ndarray:
-    """Solve M X = B by row-pivoted elimination.
-
-    Raises SingularMatrix when a pivot falls below 1e-14 * ||M||_F
-    (scaled to max(1, .) so the exact zero matrix is also rejected).
-    """
-    m = as_matrix(m)
-    b = as_matrix(b)
-    if m.shape[0] != m.shape[1]:
-        raise SingularMatrix("coefficient matrix must be square")
-    if b.shape[0] != m.shape[0]:
-        raise SingularMatrix("dimension mismatch between M and B")
-    lu, piv = _lu(m)
-    threshold = PIVOT_RTOL * max(1.0, float(np.linalg.norm(m)))
-    if np.min(np.abs(np.diag(lu))) < threshold:
-        raise SingularMatrix("pivot below singularity threshold")
-    return scipy.linalg.lu_solve((lu, piv), b, check_finite=False)
+    """Solve M X = B through `lu_factor` (which raises SingularMatrix)."""
+    return lu_factor(m).solve(b)
 
 
 def solve_right(b, m) -> np.ndarray:

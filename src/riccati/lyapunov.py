@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInterval, SingularMatrix, SingularShift
-from .linalg import as_matrix, hermitian_part, psd_check, solve_linear, solve_right, symmetrize
+from .linalg import LU, as_matrix, hermitian_part, lu_factor, psd_check, symmetrize
 from .reporting import DEFAULT_BASIC_MAX_ITER, SolveOptions, SolveReport, rate_from_updates
 from .stein import SteinProblem
 
@@ -107,13 +107,13 @@ def cayley_to_stein(problem: LyapunovProblem, tau: complex) -> SteinProblem:
     if tau.real <= 0:
         raise ValueError("tau must lie in the open right half-plane")
     a, q = problem.A, problem.Q
-    shifted = _shifted(a, tau)
     try:
-        c_of_a = solve_linear(shifted, a + tau * np.eye(problem.n))
-        half = solve_linear(shifted.conj().T, q)  # (A^* - tau I)^{-1} Q
-        q_tilde = 2 * tau.real * solve_right(half, shifted)
+        lu = lu_factor(_shifted(a, tau))
     except SingularMatrix as exc:
         raise SingularShift(f"conj(tau)={np.conj(tau)} is an eigenvalue of A") from exc
+    c_of_a = lu.solve(a + tau * np.eye(problem.n))
+    half = lu.solve(q, trans=2)  # (A^* - tau I)^{-1} Q
+    q_tilde = 2 * tau.real * lu.solve(half.conj().T, trans=2).conj().T  # half (A - conj(tau) I)^{-1}
     return SteinProblem(A=c_of_a, Q=symmetrize(q_tilde))
 
 
@@ -132,7 +132,8 @@ def adi_solve(
 ) -> SolveReport:
     """ADI iteration: per-shift Cayley reduction plus one Smith step.
 
-    Shifts are reused cyclically when the iteration outlives the list.
+    Shifts are reused cyclically when the iteration outlives the list; each
+    distinct shift is reduced once per call.
     """
     max_iter = opts.resolve_max_iter(DEFAULT_BASIC_MAX_ITER)
     x = np.zeros_like(problem.Q)
@@ -142,9 +143,12 @@ def adi_solve(
     updates: list[float] = []
     converged = history[-1] <= opts.tol
     iterations = 0
+    reductions: dict[complex, SteinProblem] = {}
     while not converged and iterations < max_iter:
         tau = shifts.at(iterations)
-        step = cayley_to_stein(problem, tau)
+        if tau not in reductions:
+            reductions[tau] = cayley_to_stein(problem, tau)
+        step = reductions[tau]
         xn = symmetrize(step.Q + step.A.conj().T @ x @ step.A)
         updates.append(float(np.linalg.norm(xn - x)))
         x = xn
@@ -189,20 +193,29 @@ def lr_adi_solve(
         raise ValueError("k must be >= 1")
     a = problem.A
     c_star = problem.C.conj().T
+    factors: dict[complex, LU] = {}  # LU of A - conj(tau) I per distinct shift
+
+    def shifted_adjoint_solve(tau, rhs):  # (A^* - tau I)^{-1} rhs
+        if tau not in factors:
+            factors[tau] = lu_factor(_shifted(a, tau))
+        return factors[tau].solve(rhs, trans=2)
+
     tau0 = shifts.at(0)
     try:
-        v = math.sqrt(2 * tau0.real) * solve_linear(_shifted(a, tau0).conj().T, c_star)
+        v = math.sqrt(2 * tau0.real) * shifted_adjoint_solve(tau0, c_star)
         blocks = [v]
+        z_norm_sq = float(np.linalg.norm(v)) ** 2  # ||Z||_F^2 of the blocks kept so far
         for j in range(1, k):
             tau_prev = shifts.at(j - 1)
             tau = shifts.at(j)
             scale = math.sqrt(tau.real / tau_prev.real)
             rhs = (a.conj().T + np.conj(tau_prev) * np.eye(problem.n)) @ v
-            v = scale * solve_linear(_shifted(a, tau).conj().T, rhs)
-            z_norm = float(np.linalg.norm(np.hstack(blocks)))
-            if float(np.linalg.norm(v)) <= opts.tol * z_norm:
+            v = scale * shifted_adjoint_solve(tau, rhs)
+            v_norm = float(np.linalg.norm(v))
+            if v_norm <= opts.tol * math.sqrt(z_norm_sq):
                 break
             blocks.append(v)
+            z_norm_sq += v_norm**2
     except SingularMatrix as exc:
         raise SingularShift("an ADI shift coincides with an eigenvalue of A") from exc
     return LowRankFactor(Z=np.hstack(blocks), block_width=problem.C.shape[0])

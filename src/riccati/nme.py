@@ -10,6 +10,7 @@ from .errors import SingularMatrix
 from .linalg import (
     as_matrix,
     hermitian_part,
+    lu_factor,
     min_pivot,
     psd_check,
     solve_linear,
@@ -17,11 +18,12 @@ from .linalg import (
     symmetrize,
 )
 from .reporting import (
-    DEFAULT_BASIC_MAX_ITER,
     DEFAULT_DOUBLING_MAX_ITER,
     SolveOptions,
     SolveReport,
+    fixed_point_solve,
     rate_from_updates,
+    relative_residual,
 )
 
 __all__ = [
@@ -51,7 +53,11 @@ class NmeProblem:
             raise ValueError("A must be square")
         if q.shape != a.shape:
             raise ValueError("Q must match the shape of A")
-        if not psd_check(q, 1e-10) or min_pivot(q) < 1e-12 * np.linalg.norm(q):
+        try:
+            definite = psd_check(q, 1e-10) and min_pivot(q) >= 1e-12 * np.linalg.norm(q)
+        except SingularMatrix:
+            definite = False
+        if not definite:
             raise ValueError("Q must be positive definite")
         object.__setattr__(self, "A", a)
         object.__setattr__(self, "Q", q)
@@ -99,10 +105,23 @@ class SpectralFactorization:
             raise ValueError("right factor is not stable: rho(Y) > 1")
 
 
+def _nme_map(x, problem: NmeProblem):
+    """(Q - A^* X^{-1} A re-symmetrized, residual scale of X) from one
+    factorization of X.
+
+    The scale term ||A||^2 ||X^{-1}|| is approximated through the smallest
+    pivot of that factorization.
+    """
+    a, q = problem.A, problem.Q
+    lu = lu_factor(x)
+    x_next = symmetrize(q - a.conj().T @ lu.solve(a))
+    inv_proxy = 1.0 / lu.min_pivot
+    return x_next, float(np.linalg.norm(q) + np.linalg.norm(x) + np.linalg.norm(a) ** 2 * inv_proxy)
+
+
 def nme_step(xk, problem: NmeProblem) -> np.ndarray:
     """One fixed-point step Q - A^* X_k^{-1} A, re-symmetrized."""
-    a = problem.A
-    return symmetrize(problem.Q - a.conj().T @ solve_linear(as_matrix(xk), a))
+    return _nme_map(as_matrix(xk), problem)[0]
 
 
 def nme_residual(x, problem: NmeProblem) -> float:
@@ -112,13 +131,7 @@ def nme_residual(x, problem: NmeProblem) -> float:
     smallest pivot of the factorization of X.
     """
     x = as_matrix(x)
-    a, q = problem.A, problem.Q
-    raw = float(np.linalg.norm(x + a.conj().T @ solve_linear(x, a) - q))
-    if raw == 0.0:
-        return 0.0
-    inv_proxy = 1.0 / min_pivot(x)
-    den = float(np.linalg.norm(q) + np.linalg.norm(x) + np.linalg.norm(a) ** 2 * inv_proxy)
-    return raw / den
+    return relative_residual(x, *_nme_map(x, problem))
 
 
 def nme_fixed_point_solve(
@@ -127,51 +140,23 @@ def nme_fixed_point_solve(
     """Iterate X_{k+1} = Q - A^* X_k^{-1} A from X_1 = Q (zero cannot start
     this iteration); the iterates decrease monotonically to the maximal
     solution.  Critical spectra surface as sublinear rate_estimate -> 1."""
-    max_iter = opts.resolve_max_iter(DEFAULT_BASIC_MAX_ITER)
-    x = problem.Q.copy()
-    t0 = time.perf_counter_ns()
-    history = [nme_residual(x, problem)]
-    times = [time.perf_counter_ns() - t0]
-    updates: list[float] = []
-    converged = history[-1] <= opts.tol
-    iterations = 1  # X_1 = Q is the first iterate
-    while not converged and iterations < max_iter:
-        xn = nme_step(x, problem)
-        updates.append(float(np.linalg.norm(xn - x)))
-        x = xn
-        iterations += 1
-        res = nme_residual(x, problem)
-        history.append(res)
-        times.append(time.perf_counter_ns() - t0)
-        if res <= opts.tol:
-            converged = True
-            break
-        if not np.isfinite(res):
-            break
-        if abs(history[-2] - history[-1]) <= opts.stagnation_tol:
-            break
-    report = SolveReport(
-        X=x,
-        converged=converged,
-        iterations=iterations,
-        residual_history=history,
-        rate_estimate=rate_from_updates(updates),
-    )
-    report.elapsed_ns = times
-    return report
+    return fixed_point_solve(problem.Q.copy(), lambda x: _nme_map(x, problem), opts, first_iteration=1)
 
 
 def cr_step(state: CrState) -> CrState:
     """One cyclic-reduction step (one odd-even block elimination)."""
     ak, qk, uk = state.Ak, state.Qk, state.Uk
+    n = ak.shape[0]
     try:
-        f = solve_linear(uk, ak)
-        ft = solve_linear(uk, ak.conj().T)
+        lu = lu_factor(uk)
     except SingularMatrix:
         raise SingularMatrix("cyclic-reduction pivot block U_k is singular") from None
+    both = lu.solve(np.hstack([ak, ak.conj().T]))
+    f, ft = both[:, :n], both[:, n:]
     a_next = -ak @ f
-    q_next = symmetrize(qk - ak.conj().T @ f)
-    u_next = symmetrize(uk - ak.conj().T @ f - ak @ ft)
+    ah_f = ak.conj().T @ f
+    q_next = symmetrize(qk - ah_f)
+    u_next = symmetrize(uk - ah_f - ak @ ft)
     return CrState(Ak=a_next, Qk=q_next, Uk=u_next, k=state.k + 1)
 
 

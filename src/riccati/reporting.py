@@ -1,5 +1,6 @@
 """Solve options and convergence reports shared by all iterations."""
 
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -8,6 +9,7 @@ __all__ = ["SolveOptions", "SolveReport", "DEFAULT_BASIC_MAX_ITER", "DEFAULT_DOU
 
 DEFAULT_BASIC_MAX_ITER = 10_000
 DEFAULT_DOUBLING_MAX_ITER = 60
+NORM_OVERFLOW = 1e150
 
 
 @dataclass(frozen=True)
@@ -62,3 +64,60 @@ def rate_from_updates(update_norms) -> float:
         return 0.0
     ratios = [b / a for a, b in zip(tail, tail[1:])]
     return float(np.exp(np.mean(np.log(ratios))))
+
+
+def _ratio(raw: float, scale: float) -> float:
+    return 0.0 if raw == 0.0 else raw / scale
+
+
+def relative_residual(x, x_next, scale: float) -> float:
+    """||F(X) - X|| / scale for a fixed-point map F with x_next = F(X)."""
+    return _ratio(float(np.linalg.norm(x_next - x)), scale)
+
+
+def fixed_point_solve(x0, step, opts: SolveOptions, first_iteration: int = 0) -> SolveReport:
+    """Iterate X_{k+1} = F(X_k) from X_0 = x0, where step(X) returns
+    (F(X), scale(X)).
+
+    The residual of X_k is ||F(X_k) - X_k|| / scale(X_k), so each F(X_k) is
+    computed once: it gives the residual of X_k, the update norm and the next
+    iterate.  A k-iteration run therefore evaluates F k + 1 times.  Stops on
+    relative residual <= opts.tol, on residual stagnation, on a non-finite
+    residual or an iterate-norm overflow, or at max_iter (reported with
+    converged=False).  `first_iteration` is the index of x0 in the reported
+    iteration count.
+    """
+    max_iter = opts.resolve_max_iter(DEFAULT_BASIC_MAX_ITER)
+    t0 = time.perf_counter_ns()
+    x = x0
+    x_next, scale = step(x)
+    update = float(np.linalg.norm(x_next - x))
+    history = [_ratio(update, scale)]
+    times = [time.perf_counter_ns() - t0]
+    updates: list[float] = []
+    converged = history[-1] <= opts.tol
+    iterations = first_iteration
+    while not converged and iterations < max_iter:
+        updates.append(update)
+        x = x_next
+        iterations += 1
+        x_next, scale = step(x)
+        update = float(np.linalg.norm(x_next - x))
+        res = _ratio(update, scale)
+        history.append(res)
+        times.append(time.perf_counter_ns() - t0)
+        if not np.isfinite(res) or np.linalg.norm(x) > NORM_OVERFLOW:
+            break
+        if res <= opts.tol:
+            converged = True
+            break
+        if abs(history[-2] - history[-1]) <= opts.stagnation_tol:
+            break
+    return SolveReport(
+        X=x,
+        converged=converged,
+        iterations=iterations,
+        residual_history=history,
+        rate_estimate=rate_from_updates(updates),
+        elapsed_ns=times,
+    )

@@ -7,14 +7,14 @@ import numpy as np
 
 from .linalg import as_matrix, hermitian_part, psd_check, symmetrize
 from .reporting import (
-    DEFAULT_BASIC_MAX_ITER,
     DEFAULT_DOUBLING_MAX_ITER,
+    NORM_OVERFLOW,
     SolveOptions,
     SolveReport,
+    fixed_point_solve,
     rate_from_updates,
+    relative_residual,
 )
-
-NORM_OVERFLOW = 1e150
 
 __all__ = ["SteinProblem", "smith_step", "smith_solve", "squared_smith_solve", "stein_residual"]
 
@@ -49,15 +49,15 @@ def smith_step(xk, problem: SteinProblem) -> np.ndarray:
     return symmetrize(problem.Q + a.conj().T @ as_matrix(xk) @ a)
 
 
+def _stein_scale(x, problem: SteinProblem) -> float:
+    nx = float(np.linalg.norm(x))
+    return float(np.linalg.norm(problem.Q) + np.linalg.norm(problem.A) ** 2 * nx + nx)
+
+
 def stein_residual(x, problem: SteinProblem) -> float:
     """Relative residual ||X - A^*XA - Q|| / (||Q|| + ||A||^2 ||X|| + ||X||)."""
     x = as_matrix(x)
-    a, q = problem.A, problem.Q
-    raw = float(np.linalg.norm(x - a.conj().T @ x @ a - q))
-    den = float(np.linalg.norm(q) + np.linalg.norm(a) ** 2 * np.linalg.norm(x) + np.linalg.norm(x))
-    if raw == 0.0:
-        return 0.0
-    return raw / den
+    return relative_residual(x, smith_step(x, problem), _stein_scale(x, problem))
 
 
 def smith_solve(problem: SteinProblem, opts: SolveOptions = SolveOptions()) -> SolveReport:
@@ -67,44 +67,20 @@ def smith_solve(problem: SteinProblem, opts: SolveOptions = SolveOptions()) -> S
     max_iter (reported with converged=False).  Divergence for rho(A) >= 1 is
     caught by an iterate-norm overflow guard rather than precluded.
     """
-    max_iter = opts.resolve_max_iter(DEFAULT_BASIC_MAX_ITER)
-    x = np.zeros_like(problem.Q)
-    t0 = time.perf_counter_ns()
-    history = [stein_residual(x, problem)]
-    times = [time.perf_counter_ns() - t0]
-    updates: list[float] = []
-    converged = history[-1] <= opts.tol
-    iterations = 0
-    while not converged and iterations < max_iter:
-        xn = smith_step(x, problem)
-        updates.append(float(np.linalg.norm(xn - x)))
-        x = xn
-        iterations += 1
-        res = stein_residual(x, problem)
-        history.append(res)
-        times.append(time.perf_counter_ns() - t0)
-        if not np.isfinite(res) or np.linalg.norm(x) > NORM_OVERFLOW:
-            break
-        if res <= opts.tol:
-            converged = True
-            break
-        if abs(history[-2] - history[-1]) <= opts.stagnation_tol:
-            break
-    report = SolveReport(
-        X=x,
-        converged=converged,
-        iterations=iterations,
-        residual_history=history,
-        rate_estimate=rate_from_updates(updates),
+    return fixed_point_solve(
+        np.zeros_like(problem.Q),
+        lambda x: (smith_step(x, problem), _stein_scale(x, problem)),
+        opts,
     )
-    report.elapsed_ns = times
-    return report
 
 
 def squared_smith_solve(problem: SteinProblem, opts: SolveOptions = SolveOptions()) -> SolveReport:
     """Doubling variant: A_{k+1} = A_k^2, Q_{k+1} = Q_k + A_k^* Q_k A_k.
 
     Q_k equals the 2^k-th Smith iterate; `iterations` counts doubling steps.
+    A residual stop counts as converged only when ||A_k||_F < 1, which proves
+    rho(A) < 1: for rho(A) = 1 the Stein operator is singular, and Q_k can
+    reach a small relative residual while growing without bound.
     """
     max_iter = opts.resolve_max_iter(DEFAULT_DOUBLING_MAX_ITER)
     ak = problem.A.copy()
@@ -125,7 +101,7 @@ def squared_smith_solve(problem: SteinProblem, opts: SolveOptions = SolveOptions
         history.append(res)
         times.append(time.perf_counter_ns() - t0)
         if res <= opts.tol:
-            converged = True
+            converged = bool(np.linalg.norm(ak) < 1.0)
             break
         if np.linalg.norm(ak) > NORM_OVERFLOW or np.linalg.norm(qk) > NORM_OVERFLOW:
             break

@@ -14,7 +14,7 @@ from riccati import (
     sign_solve,
 )
 from riccati.care import determinantal_tau, sign_extract as extract
-from riccati.errors import InnerSolveFailed, RankMismatch, SingularAd
+from riccati.errors import InnerSolveFailed, RankMismatch, SingularAd, StructureLoss
 from riccati.generators import GeneratorSpec, gen_problem
 from riccati.io import to_problem
 from riccati.linalg import psd_check, solve_linear
@@ -38,6 +38,16 @@ class TestCareToDare:
     def test_singular_discrete_a(self):
         with pytest.raises(SingularAd):
             care_to_dare(SCALAR, 1.0)
+
+    def test_definiteness_loss_is_structure_loss(self):
+        # a tiny tau on a badly scaled instance: the reduced G_d is indefinite
+        rng = np.random.default_rng(0)
+        a = 1e-6 * rng.standard_normal((10, 10))
+        b = rng.standard_normal((10, 1))
+        c = rng.standard_normal((1, 10))
+        p = CareProblem(A=a, G=b @ b.T, Q=1e-6 * c.T @ c)
+        with pytest.raises(StructureLoss):
+            care_sda_solve(p, tau=1e-6)
 
     def test_output_is_hermitian(self):
         p = random_instance(0, 4)

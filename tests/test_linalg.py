@@ -9,6 +9,7 @@ from riccati.linalg import (
     as_matrix,
     frobenius_norm,
     hermitian_part,
+    lu_factor,
     min_pivot,
     psd_check,
     solve_linear,
@@ -150,6 +151,33 @@ class TestMinPivot:
 
     def test_scaling(self):
         assert min_pivot(np.diag([4.0, 2.0])) == pytest.approx(2.0)
+
+    def test_singular_raises(self):
+        with pytest.raises(SingularMatrix):
+            min_pivot([[1.0, 1.0], [1.0, 1.0]])
+
+
+class TestLuFactor:
+    @pytest.mark.parametrize("trans, op", [(0, lambda m: m), (1, lambda m: m.T), (2, lambda m: m.conj().T)])
+    def test_solve_modes(self, trans, op):
+        rng = np.random.default_rng(1)
+        m = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+        b = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
+        x = lu_factor(m).solve(b, trans)
+        assert np.linalg.norm(op(m) @ x - b) <= 1e-12 * np.linalg.norm(b)
+
+    def test_pivots_are_moduli_of_u(self):
+        lu = lu_factor(np.diag([-3.0, 2.0, 1j]))
+        assert sorted(lu.pivots) == pytest.approx([1.0, 2.0, 3.0])
+        assert lu.min_pivot == pytest.approx(1.0)
+
+    def test_singular_raises(self):
+        with pytest.raises(SingularMatrix):
+            lu_factor(np.diag([1.0, 1e-15]))
+
+    def test_rectangular_raises(self):
+        with pytest.raises(SingularMatrix):
+            lu_factor(np.ones((2, 3)))
 
 
 def test_symmetrize_unchecked():

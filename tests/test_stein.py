@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from riccati import SolveOptions, SteinProblem, smith_solve, squared_smith_solve, stein_residual
+from riccati.generators import GeneratorSpec, gen_problem
+from riccati.io import to_problem
 from riccati.linalg import psd_check
 from riccati.oracle import kron_stein_solve
 from riccati.stein import smith_step
@@ -75,6 +77,14 @@ class TestSquaredSmithSolve:
 
     def test_overflow_guard_reports_not_converged(self):
         report = squared_smith_solve(SteinProblem(A=[[2.0]], Q=[[1.0]]), SolveOptions(max_iter=60))
+        assert not report.converged
+
+    def test_critical_instance_not_converged(self):
+        # rho(A) = 1: the Stein operator is singular, yet Q_k reaches a small
+        # relative residual while ||X|| grows to ~9e12 and ||A_k||_F ~ 1.6
+        p = to_problem(gen_problem(GeneratorSpec(kind="stein", n=16, seed=3, critical=True)))
+        report = squared_smith_solve(p)
+        assert report.residual_history[-1] <= 1e-12
         assert not report.converged
 
     def test_state_matches_smith_iterate(self):

@@ -1,0 +1,163 @@
+"""Each step does its work once: one factorization per matrix, one
+evaluation of the fixed-point map per iterate, one Cayley reduction per
+ADI shift."""
+
+import sys
+
+import numpy as np
+import pytest
+
+from riccati import (
+    DoublingState,
+    ShiftSequence,
+    SignOptions,
+    SolveOptions,
+    adi_solve,
+    cayley_to_stein,
+    dare_fixed_point_solve,
+    dare_residual,
+    nme_fixed_point_solve,
+    nme_residual,
+    sign_solve,
+    smith_solve,
+    stein_residual,
+)
+from riccati import dare, linalg, lyapunov, stein
+from riccati.dare import dare_step, sda_step
+from riccati.generators import GeneratorSpec, gen_problem
+from riccati.io import to_problem
+from riccati.nme import CrState, cr_step, nme_step
+from riccati.stein import smith_step
+
+
+def instance(kind, n=6, seed=1):
+    return to_problem(gen_problem(GeneratorSpec(kind=kind, n=n, seed=seed)))
+
+
+def counting(monkeypatch, module, name):
+    """Replace module.name by a wrapper that records each call."""
+    calls = []
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+@pytest.fixture
+def lu_calls(monkeypatch):
+    """Calls of linalg.lu_factor through every riccati module that binds it."""
+    calls = []
+    original = linalg.lu_factor
+
+    def wrapper(m):
+        calls.append(np.shape(m))
+        return original(m)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "riccati" and getattr(module, "lu_factor", None) is original:
+            monkeypatch.setattr(module, "lu_factor", wrapper)
+    return calls
+
+
+class TestOneFactorizationPerStep:
+    def test_sda_step(self, lu_calls):
+        p = instance("dare")
+        sda_step(DoublingState(Ak=p.A, Gk=p.G, Qk=p.Q, k=0))
+        assert lu_calls == [(6, 6)]
+
+    def test_cr_step(self, lu_calls):
+        p = instance("nme")
+        lu_calls.clear()  # NmeProblem checks the pivots of Q
+        cr_step(CrState(Ak=p.A, Qk=p.Q, Uk=p.Q, k=0))
+        assert lu_calls == [(6, 6)]
+
+    @pytest.mark.parametrize("scaling", ["none", "determinantal"])
+    def test_sign_iteration(self, lu_calls, scaling):
+        sol = sign_solve(instance("care"), SignOptions(scaling=scaling))
+        assert sol.report.converged
+        # one factorization of H_k per step, plus the solve in sign_extract
+        assert lu_calls == [(12, 12)] * sol.report.iterations + [(6, 6)]
+
+    def test_cayley_to_stein(self, lu_calls):
+        cayley_to_stein(instance("lyapunov"), 1.5)
+        assert lu_calls == [(6, 6)]
+
+    def test_nme_residual(self, lu_calls):
+        p = instance("nme")
+        lu_calls.clear()
+        nme_residual(p.Q, p)
+        assert lu_calls == [(6, 6)]
+
+
+class TestOneReductionPerShift:
+    @pytest.mark.parametrize("shifts, reductions", [((1.5,), 1), ((1.5, 3.0), 2)])
+    def test_adi(self, monkeypatch, shifts, reductions):
+        calls = counting(monkeypatch, lyapunov, "cayley_to_stein")
+        report = adi_solve(instance("lyapunov"), ShiftSequence(shifts))
+        assert report.converged and report.iterations > 2 * len(shifts)
+        assert len(calls) == reductions
+
+
+class TestOneEvaluationPerIterate:
+    """A run that takes k steps evaluates the map k + 1 times: the last
+    evaluation gives the residual of the returned iterate."""
+
+    def test_smith(self, monkeypatch):
+        calls = counting(monkeypatch, stein, "smith_step")
+        report = smith_solve(instance("stein"))
+        assert report.converged
+        assert len(calls) == report.iterations + 1
+
+    def test_dare_fixed_point(self, monkeypatch):
+        calls = counting(monkeypatch, dare, "dare_step")
+        sol = dare_fixed_point_solve(instance("dare"))
+        assert sol.report.converged
+        assert len(calls) == sol.report.iterations + 1
+
+    def test_nme_fixed_point(self, lu_calls):
+        p = instance("nme")
+        lu_calls.clear()
+        report = nme_fixed_point_solve(p)
+        assert report.converged
+        # X_1 = Q is the first iterate: iterations - 1 steps, plus the
+        # factorization that gives the residual of the returned iterate
+        assert len(lu_calls) == report.iterations
+
+
+def iterates(step, x, count):
+    out = [x]
+    for _ in range(count - 1):
+        out.append(step(out[-1]))
+    return out
+
+
+def assert_history_matches(history, xs, residual):
+    assert len(history) == len(xs)
+    for res, x in zip(history, xs):
+        assert abs(res - residual(x)) <= 1e-14 * residual(x)
+
+
+class TestResidualHistory:
+    """Each residual_history entry equals the public residual of its iterate."""
+
+    def test_smith(self):
+        p = instance("stein")
+        report = smith_solve(p)
+        xs = iterates(lambda x: smith_step(x, p), np.zeros((6, 6)), report.iterations + 1)
+        assert_history_matches(report.residual_history, xs, lambda x: stein_residual(x, p))
+
+    def test_dare_fixed_point(self):
+        p = instance("dare")
+        report = dare_fixed_point_solve(p).report
+        xs = iterates(lambda x: dare_step(x, p), np.zeros((6, 6)), report.iterations + 1)
+        assert_history_matches(report.residual_history, xs, lambda x: dare_residual(x, p))
+
+    def test_nme_fixed_point(self):
+        p = instance("nme")
+        report = nme_fixed_point_solve(p, SolveOptions(tol=1e-14))
+        xs = iterates(lambda x: nme_step(x, p), p.Q, report.iterations)
+        assert_history_matches(report.residual_history, xs, lambda x: nme_residual(x, p))
