@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dare import DareProblem, DareSolution, _sda_core, closed_loop_radius
+from .dare import DareProblem, DareSolution, sda_solve
 from .errors import (
     InnerSolveFailed,
     RankMismatch,
@@ -21,16 +21,15 @@ from .errors import (
     StructureLoss,
 )
 from .linalg import (
+    Coefficients,
     as_matrix,
-    hermitian_part,
     lu_factor,
     min_pivot,
-    psd_check,
     solve_linear,
     solve_right,
     symmetrize,
 )
-from .reporting import SolveOptions, SolveReport, rate_from_updates
+from .reporting import SolveOptions, SolveReport, iterate, rate_from_updates
 
 __all__ = [
     "CareProblem",
@@ -48,30 +47,13 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class CareProblem:
+class CareProblem(Coefficients):
     """Coefficients (A, G, Q) with G, Q Hermitian PSD."""
 
+    HERMITIAN = ("G", "Q")
     A: np.ndarray
     G: np.ndarray
     Q: np.ndarray
-
-    def __post_init__(self):
-        a = as_matrix(self.A)
-        g = hermitian_part(self.G)
-        q = hermitian_part(self.Q)
-        if a.shape[0] != a.shape[1]:
-            raise ValueError("A must be square")
-        if g.shape != a.shape or q.shape != a.shape:
-            raise ValueError("G and Q must match the shape of A")
-        if not psd_check(g, 1e-10) or not psd_check(q, 1e-10):
-            raise ValueError("G and Q must be positive semidefinite")
-        object.__setattr__(self, "A", a)
-        object.__setattr__(self, "G", g)
-        object.__setattr__(self, "Q", q)
-
-    @property
-    def n(self) -> int:
-        return self.A.shape[0]
 
 
 @dataclass(frozen=True)
@@ -170,19 +152,7 @@ def care_sda_solve(
             raise last_exc
     else:
         dare_problem = care_to_dare(problem, tau)
-    state, history, updates, converged, times = _sda_core(
-        dare_problem, opts, lambda q: care_residual(q, problem)
-    )
-    report = SolveReport(
-        X=state.Qk,
-        converged=converged,
-        iterations=state.k,
-        residual_history=history,
-        rate_estimate=rate_from_updates(updates),
-        closed_loop_radius=closed_loop_radius(state.Qk, dare_problem),
-    )
-    report.elapsed_ns = times
-    return DareSolution(X_plus=state.Qk, Y_plus=state.Gk, report=report)
+    return sda_solve(dare_problem, opts, lambda q: care_residual(q, problem))
 
 
 def _geometric_mean(pivots) -> float:
@@ -234,8 +204,8 @@ def sign_solve(problem: CareProblem, opts: SignOptions = SignOptions()) -> DareS
         iterations=iterations,
         residual_history=history,
         rate_estimate=rate_from_updates(history),
+        elapsed_ns=times,
     )
-    report.elapsed_ns = times
     return DareSolution(X_plus=x, Y_plus=None, report=report)
 
 
@@ -279,43 +249,18 @@ def newton_care_solve(
     from .oracle import kron_lyap_solve, max_real_eigenvalue  # deferred: oracle imports care types
     from .lyapunov import LyapunovProblem
 
-    max_iter = opts.resolve_max_iter(100)
-    x = symmetrize(as_matrix(x0))
     a, g, q = problem.A, problem.G, problem.Q
-    t0 = time.perf_counter_ns()
-    history = [care_residual(x, problem)]
-    times = [time.perf_counter_ns() - t0]
-    updates: list[float] = []
-    converged = history[-1] <= opts.tol
-    iterations = 0
-    while not converged and iterations < max_iter:
+
+    def step(x):
         closed_loop = a - g @ x
         if max_real_eigenvalue(closed_loop) > 1e-10:
             raise InnerSolveFailed("closed loop A - G X_k is not Hurwitz")
         rhs = symmetrize(q + x @ g @ x)
         try:
-            xn = kron_lyap_solve(LyapunovProblem(A=closed_loop, Q=rhs))
+            x_next = kron_lyap_solve(LyapunovProblem(A=closed_loop, Q=rhs))
         except SingularMatrix as exc:
             raise InnerSolveFailed("inner Lyapunov operator is singular") from exc
-        updates.append(float(np.linalg.norm(xn - x)))
-        x = xn
-        iterations += 1
-        res = care_residual(x, problem)
-        history.append(res)
-        times.append(time.perf_counter_ns() - t0)
-        if res <= opts.tol:
-            converged = True
-            break
-        if not np.isfinite(res):
-            break
-        if abs(history[-2] - history[-1]) <= opts.stagnation_tol:
-            break
-    report = SolveReport(
-        X=x,
-        converged=converged,
-        iterations=iterations,
-        residual_history=history,
-        rate_estimate=rate_from_updates(updates),
-    )
-    report.elapsed_ns = times
+        return x_next, float(np.linalg.norm(x_next - x))
+
+    report, x = iterate(symmetrize(as_matrix(x0)), step, lambda x: care_residual(x, problem), opts, 100)
     return DareSolution(X_plus=x, Y_plus=None, report=report)

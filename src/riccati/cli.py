@@ -30,7 +30,7 @@ from .io import load_problem, save_problem, to_problem
 from .linalg import solve_linear
 from .lyapunov import ShiftSequence, adi_solve, cayley_to_stein, lr_adi_solve, lyap_residual
 from .nme import CrState, cr_step, cyclic_reduction_solve, nme_fixed_point_solve, nme_residual, spectral_factorize, uqme_residual
-from .reporting import SolveOptions
+from .reporting import SolveOptions, SolveReport
 from .stein import smith_solve, squared_smith_solve, stein_residual
 
 EXIT_OK = 0
@@ -38,21 +38,55 @@ EXIT_ERROR = 1
 EXIT_NOT_CONVERGED = 2
 EXIT_USAGE = 64
 
-METHODS = {
-    "stein": ("smith", "squared-smith"),
-    "lyapunov": ("adi", "lr-adi", "cayley-smith"),
-    "dare": ("fixed-point", "sda"),
-    "care": ("sda", "sign", "newton"),
-    "nme": ("fixed-point", "cr"),
-}
 
-# basic vs doubling pairing used by `bench`
-BENCH_PAIRS = {
-    "stein": ("smith", "squared-smith"),
-    "lyapunov": ("adi", "cayley-smith"),
-    "dare": ("fixed-point", "sda"),
-    "care": ("sign", "sda"),
-    "nme": ("fixed-point", "cr"),
+def _shifts(problem, given) -> ShiftSequence:
+    """The given shifts, else the default single shift max(1, ||A||_F / sqrt(n))."""
+    return ShiftSequence(tuple(given)) if given else ShiftSequence((default_cayley_tau(problem),))
+
+
+def _lr_adi(problem, opts, shifts):
+    """LR-ADI's own report: its kept block count, and converged when the
+    Gramian ZZ^* meets tol.  It records no residual history."""
+    factor = lr_adi_solve(problem, _shifts(problem, shifts), opts.resolve_max_iter(50), opts)
+    x = factor.gramian()
+    blocks = factor.Z.shape[1] // factor.block_width
+    return SolveReport(X=x, converged=lyap_residual(x, problem) <= opts.tol, iterations=blocks)
+
+
+# Every (kind, method) of the CLI as solver(problem, opts, shifts) -> SolveReport,
+# where shifts is a list of complex shifts or None.  `bench` pairs the first
+# (basic) and last (doubling) method of each kind.  Solvers and residuals are
+# looked up by name at call time, so patched module bindings are the ones called.
+SOLVERS = {
+    "stein": {
+        "smith": lambda p, o, s: smith_solve(p, o),
+        "squared-smith": lambda p, o, s: squared_smith_solve(p, o),
+    },
+    "lyapunov": {
+        "adi": lambda p, o, s: adi_solve(p, _shifts(p, s), o),
+        "lr-adi": _lr_adi,
+        "cayley-smith": lambda p, o, s: squared_smith_solve(cayley_to_stein(p, _shifts(p, s).at(0)), o),
+    },
+    "dare": {
+        "fixed-point": lambda p, o, s: dare_fixed_point_solve(p, o).report,
+        "sda": lambda p, o, s: sda_solve(p, o).report,
+    },
+    "care": {
+        "sign": lambda p, o, s: sign_solve(p, SignOptions(scaling="determinantal", tol=o.tol)).report,
+        "newton": lambda p, o, s: newton_care_solve(p, np.zeros((p.n, p.n)), o).report,
+        "sda": lambda p, o, s: care_sda_solve(p, opts=o).report,
+    },
+    "nme": {
+        "fixed-point": lambda p, o, s: nme_fixed_point_solve(p, o),
+        "cr": lambda p, o, s: cyclic_reduction_solve(p, o),
+    },
+}
+RESIDUALS = {
+    "stein": lambda x, p: stein_residual(x, p),
+    "lyapunov": lambda x, p: lyap_residual(x, p),
+    "dare": lambda x, p: dare_residual(x, p),
+    "care": lambda x, p: care_residual(x, p),
+    "nme": lambda x, p: nme_residual(x, p),
 }
 
 
@@ -73,10 +107,6 @@ def _oracle_cap(default: int) -> int:
         return default
 
 
-def _default_shifts(problem) -> ShiftSequence:
-    return ShiftSequence(shifts=(default_cayley_tau(problem),))
-
-
 def _write_trace(path, history, elapsed):
     with open(path, "w", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -85,45 +115,12 @@ def _write_trace(path, history, elapsed):
             writer.writerow([i, repr(float(res)), int(ns)])
 
 
-def _solve_dispatch(pf, method: str, opts: SolveOptions, shifts: ShiftSequence | None):
-    """Run one (kind, method) cell; returns (report, final_residual)."""
+def _solve_dispatch(pf, method: str, opts: SolveOptions, shifts):
+    """Run one (kind, method) cell with the given shifts, else the file's;
+    returns (report, final_residual)."""
     problem = to_problem(pf)
-    if shifts is None and pf.shifts:
-        shifts = ShiftSequence(shifts=tuple(pf.shifts))
-    if pf.kind == "stein":
-        solver = smith_solve if method == "smith" else squared_smith_solve
-        report = solver(problem, opts)
-        return report, stein_residual(report.X, problem)
-    if pf.kind == "lyapunov":
-        if shifts is None:
-            shifts = _default_shifts(problem)
-        if method == "adi":
-            report = adi_solve(problem, shifts, opts)
-        elif method == "lr-adi":
-            k = opts.resolve_max_iter(50)
-            factor = lr_adi_solve(problem, shifts, k, opts)
-            report = adi_solve(problem, shifts, opts)
-            report.X = factor.gramian()
-        else:  # cayley-smith
-            stein_problem = cayley_to_stein(problem, shifts.at(0))
-            report = squared_smith_solve(stein_problem, opts)
-        return report, lyap_residual(report.X, problem)
-    if pf.kind == "dare":
-        solver = sda_solve if method == "sda" else dare_fixed_point_solve
-        sol = solver(problem, opts)
-        return sol.report, dare_residual(sol.X_plus, problem)
-    if pf.kind == "care":
-        if method == "sda":
-            sol = care_sda_solve(problem, opts=opts)
-        elif method == "sign":
-            sol = sign_solve(problem, SignOptions(scaling="determinantal", tol=opts.tol))
-        else:  # newton
-            sol = newton_care_solve(problem, np.zeros((problem.n, problem.n)), opts)
-        return sol.report, care_residual(sol.X_plus, problem)
-    # nme
-    solver = cyclic_reduction_solve if method == "cr" else nme_fixed_point_solve
-    report = solver(problem, opts)
-    return report, nme_residual(report.X, problem)
+    report = SOLVERS[pf.kind][method](problem, opts, shifts or pf.shifts)
+    return report, RESIDUALS[pf.kind](report.X, problem)
 
 
 def cmd_gen(args) -> int:
@@ -144,16 +141,15 @@ def cmd_gen(args) -> int:
 
 def cmd_solve(args) -> int:
     pf = load_problem(args.input)
-    if args.method not in METHODS[pf.kind]:
+    if args.method not in SOLVERS[pf.kind]:
         print(
             f"unknown method {args.method!r} for kind {pf.kind!r}; "
-            f"choose from {', '.join(METHODS[pf.kind])}",
+            f"choose from {', '.join(SOLVERS[pf.kind])}",
             file=sys.stderr,
         )
         return EXIT_USAGE
     opts = SolveOptions(tol=args.tol, max_iter=args.max_iter)
-    shifts = ShiftSequence(shifts=tuple(args.shifts)) if args.shifts else None
-    report, final_res = _solve_dispatch(pf, args.method, opts, shifts)
+    report, final_res = _solve_dispatch(pf, args.method, opts, args.shifts)
     if args.trace:
         _write_trace(args.trace, report.residual_history, report.elapsed_ns)
     print(f"iterations: {report.iterations}")
@@ -190,8 +186,7 @@ def _verify_checks(pf) -> tuple[list, bool]:
         if pf.n > kron_cap:
             return rows, True
         x_oracle = oracle.kron_lyap_solve(problem)
-        shifts = ShiftSequence(tuple(pf.shifts)) if pf.shifts else _default_shifts(problem)
-        report = adi_solve(problem, shifts, SolveOptions(tol=1e-12, max_iter=5000))
+        report = adi_solve(problem, _shifts(problem, pf.shifts), SolveOptions(tol=1e-12, max_iter=5000))
         _check(rows, "kron-vs-adi", rel(report.X, x_oracle), 1e-7)
     elif pf.kind == "dare":
         if pf.n > eig_cap:
@@ -268,7 +263,7 @@ def cmd_bench(args) -> int:
     if not args.sizes:
         print("bench: --sizes must be a nonempty list", file=sys.stderr)
         return EXIT_USAGE
-    basic, doubling = BENCH_PAIRS[args.kind]
+    methods = list(SOLVERS[args.kind])
     out = open(args.output, "w", newline="\n") if args.output else sys.stdout
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["kind", "method", "n", "iterations", "final_residual", "wall_ns"])
@@ -278,17 +273,15 @@ def cmd_bench(args) -> int:
         for n in args.sizes:
             spec = GeneratorSpec(kind=args.kind, n=n, seed=args.seed, radius=args.radius)
             pf = gen_problem(spec)
-            for method in (basic, doubling):
+            for method in (methods[0], methods[-1]):
                 t0 = time.perf_counter_ns()
                 try:
                     report, final_res = _solve_dispatch(pf, method, opts, None)
-                    wall = time.perf_counter_ns() - t0
-                    iters = report.iterations
-                    if not report.converged:
-                        status = max(status, EXIT_NOT_CONVERGED)
+                    iters, converged = report.iterations, report.converged
                 except RiccatiError:
-                    wall = time.perf_counter_ns() - t0
-                    iters, final_res = 0, float("nan")
+                    iters, final_res, converged = 0, float("nan"), False
+                wall = time.perf_counter_ns() - t0
+                if not converged:
                     status = max(status, EXIT_NOT_CONVERGED)
                 writer.writerow([args.kind, method, n, iters, repr(float(final_res)), wall])
     finally:
@@ -302,7 +295,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_gen = sub.add_parser("gen", help="generate a random problem file")
-    p_gen.add_argument("--kind", required=True, choices=sorted(METHODS))
+    p_gen.add_argument("--kind", required=True, choices=sorted(SOLVERS))
     p_gen.add_argument("--n", type=int, required=True)
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--radius", type=float, default=0.9)
@@ -323,7 +316,7 @@ def _build_parser() -> _Parser:
     p_verify.add_argument("--input", required=True)
 
     p_bench = sub.add_parser("bench", help="compare basic vs doubling methods")
-    p_bench.add_argument("--kind", required=True, choices=sorted(METHODS))
+    p_bench.add_argument("--kind", required=True, choices=sorted(SOLVERS))
     p_bench.add_argument("--sizes", type=int, nargs="*", default=[])
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--tol", type=float, default=1e-12)

@@ -4,27 +4,24 @@ Fixed-point iteration and the structure-preserving doubling algorithm (SDA),
 which also delivers the maximal solution of the dual equation.
 """
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import (
+    Coefficients,
     as_matrix,
-    hermitian_part,
     lu_factor,
-    psd_check,
     solve_linear,
     solve_right,
     spectral_radius_estimate,
     symmetrize,
 )
 from .reporting import (
-    DEFAULT_DOUBLING_MAX_ITER,
     SolveOptions,
     SolveReport,
-    fixed_point_solve,
-    rate_from_updates,
+    iterate_doubling,
+    iterate_map,
     relative_residual,
 )
 
@@ -43,30 +40,13 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class DareProblem:
+class DareProblem(Coefficients):
     """Coefficients (A, G, Q) with G, Q Hermitian PSD."""
 
+    HERMITIAN = ("G", "Q")
     A: np.ndarray
     G: np.ndarray
     Q: np.ndarray
-
-    def __post_init__(self):
-        a = as_matrix(self.A)
-        g = hermitian_part(self.G)
-        q = hermitian_part(self.Q)
-        if a.shape[0] != a.shape[1]:
-            raise ValueError("A must be square")
-        if g.shape != a.shape or q.shape != a.shape:
-            raise ValueError("G and Q must match the shape of A")
-        if not psd_check(g, 1e-10) or not psd_check(q, 1e-10):
-            raise ValueError("G and Q must be positive semidefinite")
-        object.__setattr__(self, "A", a)
-        object.__setattr__(self, "G", g)
-        object.__setattr__(self, "Q", q)
-
-    @property
-    def n(self) -> int:
-        return self.A.shape[0]
 
 
 @dataclass(frozen=True)
@@ -121,7 +101,7 @@ def dare_fixed_point_solve(
 ) -> DareSolution:
     """Natural fixed-point iteration from X_0 = 0 (a disguised inverse
     subspace iteration); does not produce the dual solution."""
-    report = fixed_point_solve(
+    report = iterate_map(
         np.zeros_like(problem.Q),
         lambda x: (dare_step(x, problem), _dare_scale(x, problem)),
         opts,
@@ -147,56 +127,23 @@ def sda_step(state: DoublingState) -> DoublingState:
     return DoublingState(Ak=a_next, Gk=g_next, Qk=q_next, k=state.k + 1)
 
 
-def _sda_core(problem: DareProblem, opts: SolveOptions, residual_fn):
-    """Shared SDA driver; `residual_fn` measures the residual of Q_k in
-    whichever equation the caller is actually solving."""
-    max_iter = opts.resolve_max_iter(DEFAULT_DOUBLING_MAX_ITER)
-    state = DoublingState(Ak=problem.A.copy(), Gk=problem.G.copy(), Qk=problem.Q.copy(), k=0)
-    t0 = time.perf_counter_ns()
-    history = [residual_fn(state.Qk)]
-    times = [time.perf_counter_ns() - t0]
-    updates: list[float] = []
-    converged = history[-1] <= opts.tol
-    while not converged and state.k < max_iter:
-        nxt = sda_step(state)
-        upd = float(np.linalg.norm(nxt.Qk - state.Qk))
-        updates.append(upd)
-        state = nxt
-        res = residual_fn(state.Qk)
-        history.append(res)
-        times.append(time.perf_counter_ns() - t0)
-        if res <= opts.tol:
-            converged = True
-            break
-        if not np.isfinite(res):
-            break
-        # structural stop well below tol so the residual confirmation wins the
-        # race against the A_k criterion in critical (rate-1/2) cases
-        floor = 1e-4 * opts.tol * max(float(np.linalg.norm(state.Qk)), 1.0)
-        if np.linalg.norm(state.Ak) ** 2 <= floor or upd <= floor:
-            break
-    return state, history, updates, converged, times
-
-
-def sda_solve(problem: DareProblem, opts: SolveOptions = SolveOptions()) -> DareSolution:
+def sda_solve(problem: DareProblem, opts: SolveOptions = SolveOptions(), residual=None) -> DareSolution:
     """Structure-preserving doubling algorithm.
 
     The Q_k converge monotonically (Loewner order) to X_plus = X_{2^k} in the
     limit, and the G_k to the maximal solution Y_plus of the dual equation
-    obtained by swapping A with A^* and G with Q.
+    obtained by swapping A with A^* and G with Q.  `residual(Q_k)` measures
+    Q_k in the equation the caller is actually solving; it defaults to the
+    DARE residual.
     """
-    state, history, updates, converged, times = _sda_core(
-        problem, opts, lambda q: dare_residual(q, problem)
+    report, state = iterate_doubling(
+        DoublingState(Ak=problem.A.copy(), Gk=problem.G.copy(), Qk=problem.Q.copy(), k=0),
+        sda_step,
+        residual or (lambda q: dare_residual(q, problem)),
+        opts,
+        lambda s: float(np.linalg.norm(s.Qk)),
     )
-    report = SolveReport(
-        X=state.Qk,
-        converged=converged,
-        iterations=state.k,
-        residual_history=history,
-        rate_estimate=rate_from_updates(updates),
-        closed_loop_radius=closed_loop_radius(state.Qk, problem),
-    )
-    report.elapsed_ns = times
+    report.closed_loop_radius = closed_loop_radius(state.Qk, problem)
     return DareSolution(X_plus=state.Qk, Y_plus=state.Gk, report=report)
 
 

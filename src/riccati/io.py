@@ -5,7 +5,7 @@ complex data round-trips without ambiguity.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -16,16 +16,16 @@ from .lyapunov import LyapunovProblem
 from .nme import NmeProblem
 from .stein import SteinProblem
 
-KINDS = ("stein", "lyapunov", "dare", "care", "nme")
-
-# required matrix names per kind; C is optional for lyapunov
-REQUIRED = {
-    "stein": ("A", "Q"),
-    "lyapunov": ("A", "Q"),
-    "dare": ("A", "G", "Q"),
-    "care": ("A", "G", "Q"),
-    "nme": ("A", "Q"),
+# the solver-facing problem class of each kind; a file of that kind must hold
+# the matrices its fields without a default name (C is optional for lyapunov)
+PROBLEMS = {
+    "stein": SteinProblem,
+    "lyapunov": LyapunovProblem,
+    "dare": DareProblem,
+    "care": CareProblem,
+    "nme": NmeProblem,
 }
+KINDS = tuple(PROBLEMS)
 
 __all__ = ["ProblemFile", "load_problem", "save_problem", "save_report", "to_problem"]
 
@@ -43,9 +43,9 @@ class ProblemFile:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ParseError(f"unknown kind {self.kind!r}")
-        for name in REQUIRED[self.kind]:
-            if name not in self.matrices:
-                raise ParseError(f"kind={self.kind} requires matrix {name!r}")
+        for f in fields(PROBLEMS[self.kind]):
+            if f.default is MISSING and f.name not in self.matrices:
+                raise ParseError(f"kind={self.kind} requires matrix {f.name!r}")
         for name, m in self.matrices.items():
             m = np.asarray(m, dtype=np.complex128)
             if m.ndim != 2:
@@ -97,12 +97,17 @@ def load_problem(path) -> ProblemFile:
     for key in ("kind", "n", "matrices"):
         if key not in doc:
             raise ParseError(f"{path}: missing field {key!r}")
+    if not isinstance(doc["matrices"], dict):
+        raise ParseError(f"{path}: field 'matrices' must be an object of named matrices")
     matrices = {
         name: _decode_matrix(name, data) for name, data in doc["matrices"].items()
     }
     shifts = None
     if "shifts" in doc:
-        shifts = [complex(re, im) for re, im in doc["shifts"]]
+        try:
+            shifts = [complex(re, im) for re, im in doc["shifts"]]
+        except (TypeError, ValueError):
+            raise ParseError(f"{path}: field 'shifts' must be a list of [re, im] pairs") from None
     return ProblemFile(
         kind=doc["kind"],
         n=int(doc["n"]),
@@ -113,19 +118,12 @@ def load_problem(path) -> ProblemFile:
 
 
 def to_problem(pf: ProblemFile):
-    """Instantiate the validated solver-facing problem object."""
-    m = pf.matrices
-    if pf.kind == "stein":
-        return SteinProblem(A=m["A"], Q=m["Q"])
-    if pf.kind == "lyapunov":
-        return LyapunovProblem(A=m["A"], Q=m["Q"], C=m.get("C"))
-    if pf.kind == "dare":
-        return DareProblem(A=m["A"], G=m["G"], Q=m["Q"])
-    if pf.kind == "care":
-        return CareProblem(A=m["A"], G=m["G"], Q=m["Q"])
-    if pf.kind == "nme":
-        return NmeProblem(A=m["A"], Q=m["Q"])
-    raise ParseError(f"unknown kind {pf.kind!r}")
+    """Instantiate the validated solver-facing problem object from the
+    matrices its fields name."""
+    if pf.kind not in PROBLEMS:
+        raise ParseError(f"unknown kind {pf.kind!r}")
+    cls = PROBLEMS[pf.kind]
+    return cls(**{f.name: pf.matrices[f.name] for f in fields(cls) if f.name in pf.matrices})
 
 
 def save_report(path, report):

@@ -24,6 +24,7 @@ __all__ = [
     "solve_right",
     "min_pivot",
     "psd_check",
+    "Coefficients",
     "spectral_radius_estimate",
 ]
 
@@ -137,6 +138,35 @@ def psd_check(m, tol: float = 0.0) -> bool:
         return True
     lam_min = float(np.linalg.eigvalsh(m)[0])
     return lam_min >= -tol * max(1.0, float(np.linalg.norm(m)))
+
+
+class Coefficients:
+    """Base of the frozen problem dataclasses: one validation path.
+
+    `__post_init__` makes A a square complex matrix and each coefficient
+    named in `HERMITIAN` its Hermitian part, checked to be positive
+    semidefinite (at 1e-10) and of A's shape; it raises ValueError naming
+    the coefficient that fails.
+    """
+
+    HERMITIAN: tuple = ()
+
+    def __post_init__(self):
+        a = as_matrix(self.A)
+        if a.shape[0] != a.shape[1]:
+            raise ValueError("A must be square")
+        object.__setattr__(self, "A", a)
+        for name in self.HERMITIAN:
+            m = hermitian_part(getattr(self, name))
+            if m.shape != a.shape:
+                raise ValueError(f"{name} must match the shape of A")
+            if not psd_check(m, 1e-10):
+                raise ValueError(f"{name} must be positive semidefinite")
+            object.__setattr__(self, name, m)
+
+    @property
+    def n(self) -> int:
+        return self.A.shape[0]
 
 
 def spectral_radius_estimate(m, max_doublings: int = 20) -> float:

@@ -1,15 +1,14 @@
 """Lyapunov equation A^*X + XA + Q = 0: Cayley reduction, ADI, LR-ADI."""
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidInterval, SingularMatrix, SingularShift
-from .linalg import LU, as_matrix, hermitian_part, lu_factor, psd_check, symmetrize
-from .reporting import DEFAULT_BASIC_MAX_ITER, SolveOptions, SolveReport, rate_from_updates
-from .stein import SteinProblem
+from .linalg import LU, Coefficients, as_matrix, lu_factor, symmetrize
+from .reporting import DEFAULT_BASIC_MAX_ITER, SolveOptions, SolveReport, iterate
+from .stein import SteinProblem, smith_step
 
 __all__ = [
     "LyapunovProblem",
@@ -24,36 +23,24 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class LyapunovProblem:
+class LyapunovProblem(Coefficients):
     """Coefficients of A^*X + XA + Q = 0, optionally with Q = C^*C."""
 
+    HERMITIAN = ("Q",)
     A: np.ndarray
     Q: np.ndarray
     C: np.ndarray | None = None
 
     def __post_init__(self):
-        a = as_matrix(self.A)
-        q = hermitian_part(self.Q)
-        if a.shape[0] != a.shape[1]:
-            raise ValueError("A must be square")
-        if q.shape != a.shape:
-            raise ValueError("Q must match the shape of A")
-        if not psd_check(q, 1e-10):
-            raise ValueError("Q must be positive semidefinite")
-        object.__setattr__(self, "A", a)
-        object.__setattr__(self, "Q", q)
+        super().__post_init__()
         if self.C is not None:
             c = as_matrix(self.C)
-            if c.shape[1] != a.shape[0]:
+            if c.shape[1] != self.n:
                 raise ValueError("C must have as many columns as A")
             gram = c.conj().T @ c
-            if np.linalg.norm(gram - q) > 1e-10 * max(1.0, np.linalg.norm(q)):
+            if np.linalg.norm(gram - self.Q) > 1e-10 * max(1.0, np.linalg.norm(self.Q)):
                 raise ValueError("C^*C does not match Q")
             object.__setattr__(self, "C", c)
-
-    @property
-    def n(self) -> int:
-        return self.A.shape[0]
 
 
 @dataclass(frozen=True)
@@ -135,42 +122,24 @@ def adi_solve(
     Shifts are reused cyclically when the iteration outlives the list; each
     distinct shift is reduced once per call.
     """
-    max_iter = opts.resolve_max_iter(DEFAULT_BASIC_MAX_ITER)
-    x = np.zeros_like(problem.Q)
-    t0 = time.perf_counter_ns()
-    history = [lyap_residual(x, problem)]
-    times = [time.perf_counter_ns() - t0]
-    updates: list[float] = []
-    converged = history[-1] <= opts.tol
-    iterations = 0
     reductions: dict[complex, SteinProblem] = {}
-    while not converged and iterations < max_iter:
-        tau = shifts.at(iterations)
+
+    def step(state):
+        x, k = state
+        tau = shifts.at(k)
         if tau not in reductions:
             reductions[tau] = cayley_to_stein(problem, tau)
-        step = reductions[tau]
-        xn = symmetrize(step.Q + step.A.conj().T @ x @ step.A)
-        updates.append(float(np.linalg.norm(xn - x)))
-        x = xn
-        iterations += 1
-        res = lyap_residual(x, problem)
-        history.append(res)
-        times.append(time.perf_counter_ns() - t0)
-        if res <= opts.tol:
-            converged = True
-            break
-        if not np.isfinite(res):
-            break
-        if abs(history[-2] - history[-1]) <= opts.stagnation_tol:
-            break
-    report = SolveReport(
-        X=x,
-        converged=converged,
-        iterations=iterations,
-        residual_history=history,
-        rate_estimate=rate_from_updates(updates),
+        x_next = smith_step(x, reductions[tau])
+        return (x_next, k + 1), float(np.linalg.norm(x_next - x))
+
+    report, _ = iterate(
+        (np.zeros_like(problem.Q), 0),
+        step,
+        lambda s: lyap_residual(s[0], problem),
+        opts,
+        DEFAULT_BASIC_MAX_ITER,
+        solution=lambda s: s[0],
     )
-    report.elapsed_ns = times
     return report
 
 

@@ -1,28 +1,26 @@
 """Nonlinear matrix equation X + A^*X^{-1}A = Q, cyclic reduction, and the
 spectral factorization of the palindromic Laurent polynomial it encodes."""
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import SingularMatrix
 from .linalg import (
+    Coefficients,
     as_matrix,
     hermitian_part,
     lu_factor,
     min_pivot,
-    psd_check,
     solve_linear,
     spectral_radius_estimate,
     symmetrize,
 )
 from .reporting import (
-    DEFAULT_DOUBLING_MAX_ITER,
     SolveOptions,
     SolveReport,
-    fixed_point_solve,
-    rate_from_updates,
+    iterate_doubling,
+    iterate_map,
     relative_residual,
 )
 
@@ -40,31 +38,21 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class NmeProblem:
+class NmeProblem(Coefficients):
     """Coefficients of X + A^*X^{-1}A = Q with Q Hermitian positive definite."""
 
+    HERMITIAN = ("Q",)
     A: np.ndarray
     Q: np.ndarray
 
     def __post_init__(self):
-        a = as_matrix(self.A)
-        q = hermitian_part(self.Q)
-        if a.shape[0] != a.shape[1]:
-            raise ValueError("A must be square")
-        if q.shape != a.shape:
-            raise ValueError("Q must match the shape of A")
+        super().__post_init__()
         try:
-            definite = psd_check(q, 1e-10) and min_pivot(q) >= 1e-12 * np.linalg.norm(q)
+            definite = min_pivot(self.Q) >= 1e-12 * np.linalg.norm(self.Q)
         except SingularMatrix:
             definite = False
         if not definite:
             raise ValueError("Q must be positive definite")
-        object.__setattr__(self, "A", a)
-        object.__setattr__(self, "Q", q)
-
-    @property
-    def n(self) -> int:
-        return self.A.shape[0]
 
 
 @dataclass(frozen=True)
@@ -140,7 +128,7 @@ def nme_fixed_point_solve(
     """Iterate X_{k+1} = Q - A^* X_k^{-1} A from X_1 = Q (zero cannot start
     this iteration); the iterates decrease monotonically to the maximal
     solution.  Critical spectra surface as sublinear rate_estimate -> 1."""
-    return fixed_point_solve(problem.Q.copy(), lambda x: _nme_map(x, problem), opts, first_iteration=1)
+    return iterate_map(problem.Q.copy(), lambda x: _nme_map(x, problem), opts, first_iteration=1)
 
 
 def cr_step(state: CrState) -> CrState:
@@ -167,40 +155,15 @@ def cyclic_reduction_solve(
 
     In the critical case (unit-circle roots of the Laurent polynomial) the
     error halves each step; rate_estimate reports it."""
-    max_iter = opts.resolve_max_iter(DEFAULT_DOUBLING_MAX_ITER)
-    state = CrState(Ak=problem.A.copy(), Qk=problem.Q.copy(), Uk=problem.Q.copy(), k=0)
-    t0 = time.perf_counter_ns()
-    history = [nme_residual(state.Qk, problem)]
-    times = [time.perf_counter_ns() - t0]
-    updates: list[float] = []
-    converged = history[-1] <= opts.tol
+    # unlike SDA, the floor scales with ||Q||, not ||Q_k||
     q_scale = float(np.linalg.norm(problem.Q))
-    while not converged and state.k < max_iter:
-        nxt = cr_step(state)
-        upd = float(np.linalg.norm(nxt.Qk - state.Qk))
-        updates.append(upd)
-        state = nxt
-        res = nme_residual(state.Qk, problem)
-        history.append(res)
-        times.append(time.perf_counter_ns() - t0)
-        if res <= opts.tol:
-            converged = True
-            break
-        if not np.isfinite(res):
-            break
-        # structural stop well below tol so residual confirmation wins the race
-        # against the A_k criterion in critical (rate-1/2) cases
-        floor = 1e-4 * opts.tol * max(q_scale, 1.0)
-        if np.linalg.norm(state.Ak) ** 2 <= floor or upd <= floor:
-            break
-    report = SolveReport(
-        X=state.Qk,
-        converged=converged,
-        iterations=state.k,
-        residual_history=history,
-        rate_estimate=rate_from_updates(updates),
+    report, _ = iterate_doubling(
+        CrState(Ak=problem.A.copy(), Qk=problem.Q.copy(), Uk=problem.Q.copy(), k=0),
+        cr_step,
+        lambda q: nme_residual(q, problem),
+        opts,
+        lambda s: q_scale,
     )
-    report.elapsed_ns = times
     return report
 
 

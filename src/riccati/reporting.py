@@ -75,49 +75,113 @@ def relative_residual(x, x_next, scale: float) -> float:
     return _ratio(float(np.linalg.norm(x_next - x)), scale)
 
 
-def fixed_point_solve(x0, step, opts: SolveOptions, first_iteration: int = 0) -> SolveReport:
-    """Iterate X_{k+1} = F(X_k) from X_0 = x0, where step(X) returns
-    (F(X), scale(X)).
+def iterate(
+    state,
+    step,
+    residual,
+    opts: SolveOptions,
+    default_max_iter: int,
+    *,
+    solution=lambda state: state,
+    stop=None,
+    first_iteration: int = 0,
+    always_step: bool = False,
+):
+    """Run state_{k+1}, update_k = step(state_k); return (SolveReport, last state).
 
-    The residual of X_k is ||F(X_k) - X_k|| / scale(X_k), so each F(X_k) is
-    computed once: it gives the residual of X_k, the update norm and the next
-    iterate.  A k-iteration run therefore evaluates F k + 1 times.  Stops on
-    relative residual <= opts.tol, on residual stagnation, on a non-finite
-    residual or an iterate-norm overflow, or at max_iter (reported with
-    converged=False).  `first_iteration` is the index of x0 in the reported
-    iteration count.
+    `residual(state)` is recorded for the start and after each step, and
+    `solution(state)` is the iterate X the state stands for.  Stops when the
+    residual is <= opts.tol (converged), is non-finite or ||X|| > 1e150, at
+    max_iter, and on `stop(state, update)` if given (a doubling iteration's
+    structural stop), else on residual stagnation.  `first_iteration` is the
+    count of the start; `always_step` steps even when the start meets tol.
     """
-    max_iter = opts.resolve_max_iter(DEFAULT_BASIC_MAX_ITER)
+    max_iter = opts.resolve_max_iter(default_max_iter)
     t0 = time.perf_counter_ns()
-    x = x0
-    x_next, scale = step(x)
-    update = float(np.linalg.norm(x_next - x))
-    history = [_ratio(update, scale)]
+    history = [residual(state)]
     times = [time.perf_counter_ns() - t0]
     updates: list[float] = []
-    converged = history[-1] <= opts.tol
+    converged = history[0] <= opts.tol and not always_step
     iterations = first_iteration
     while not converged and iterations < max_iter:
+        state, update = step(state)
         updates.append(update)
-        x = x_next
         iterations += 1
-        x_next, scale = step(x)
-        update = float(np.linalg.norm(x_next - x))
-        res = _ratio(update, scale)
+        res = residual(state)
         history.append(res)
         times.append(time.perf_counter_ns() - t0)
-        if not np.isfinite(res) or np.linalg.norm(x) > NORM_OVERFLOW:
+        if not np.isfinite(res) or np.linalg.norm(solution(state)) > NORM_OVERFLOW:
             break
         if res <= opts.tol:
             converged = True
             break
-        if abs(history[-2] - history[-1]) <= opts.stagnation_tol:
+        if stop is None:
+            if abs(history[-2] - res) <= opts.stagnation_tol:
+                break
+        elif stop(state, update):
             break
-    return SolveReport(
-        X=x,
+    report = SolveReport(
+        X=solution(state),
         converged=converged,
         iterations=iterations,
         residual_history=history,
         rate_estimate=rate_from_updates(updates),
         elapsed_ns=times,
+    )
+    return report, state
+
+
+def iterate_map(x0, fmap, opts: SolveOptions, first_iteration: int = 0) -> SolveReport:
+    """`iterate` X_{k+1} = F(X_k) from X_0 = x0, where fmap(X) returns
+    (F(X), scale(X)).
+
+    The state carries F(X_k) ahead of the step: it is the next iterate, and
+    ||F(X_k) - X_k|| is both the update norm and, over scale(X_k), the
+    residual of X_k.  So F is evaluated once per iterate, and a k-step run
+    evaluates it k + 1 times.
+    """
+
+    def ahead(x):
+        x_next, scale = fmap(x)
+        return x, x_next, float(np.linalg.norm(x_next - x)), scale
+
+    report, _ = iterate(
+        ahead(x0),
+        lambda s: (ahead(s[1]), s[2]),
+        lambda s: _ratio(s[2], s[3]),
+        opts,
+        DEFAULT_BASIC_MAX_ITER,
+        solution=lambda s: s[0],
+        first_iteration=first_iteration,
+    )
+    return report
+
+
+def iterate_doubling(state, step, residual, opts: SolveOptions, floor_scale):
+    """`iterate` a doubling state with fields Ak and Qk, where step(state) is
+    the next state and Q_k is the iterate it stands for.
+
+    The update is ||Q_{k+1} - Q_k|| and the residual is residual(Q_k).  The
+    structural stop is ||A_k||^2 or the update below 1e-4 tol
+    max(floor_scale(state), 1): well below tol, so that the residual
+    confirmation wins the race against the A_k criterion in critical
+    (rate-1/2) cases.
+    """
+
+    def advance(s):
+        nxt = step(s)
+        return nxt, float(np.linalg.norm(nxt.Qk - s.Qk))
+
+    def stop(s, update):
+        floor = 1e-4 * opts.tol * max(floor_scale(s), 1.0)
+        return bool(np.linalg.norm(s.Ak) ** 2 <= floor or update <= floor)
+
+    return iterate(
+        state,
+        advance,
+        lambda s: residual(s.Qk),
+        opts,
+        DEFAULT_DOUBLING_MAX_ITER,
+        solution=lambda s: s.Qk,
+        stop=stop,
     )

@@ -37,6 +37,21 @@ class TestProblemFileIO:
         with pytest.raises(ParseError, match="Q"):
             load_problem(path)
 
+    @pytest.mark.parametrize(
+        "fields, named",
+        [
+            ({"shifts": [1.0]}, "shifts"),
+            ({"shifts": [[1.0, 0.0, 2.0]]}, "shifts"),
+            ({"matrices": []}, "matrices"),
+        ],
+    )
+    def test_malformed_field_named(self, tmp_path, fields, named):
+        doc = {"kind": "lyapunov", "n": 1, "matrices": {"A": [[[-1.0, 0.0]]], "Q": [[[1.0, 0.0]]]}}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**doc, **fields}))
+        with pytest.raises(ParseError, match=named):
+            load_problem(path)
+
     def test_shifts_round_trip(self, tmp_path):
         pf = gen_problem(GeneratorSpec(kind="lyapunov", n=2, seed=2))
         pf.shifts = [1.0 + 2.0j, 3.0]
@@ -127,6 +142,25 @@ class TestSolveCommand:
 
     def test_missing_file_exit_1(self):
         assert main(["solve", "--input", "/nonexistent.json", "--method", "smith"]) == 1
+
+    def test_lr_adi_reports_its_own_blocks(self, tmp_path, capsys, monkeypatch):
+        import riccati.cli
+        from riccati.care import default_cayley_tau
+        from riccati.lyapunov import ShiftSequence, lr_adi_solve
+
+        path = tmp_path / "lyap.json"
+        main(["gen", "--kind", "lyapunov", "--n", "4", "--seed", "2", "--output", str(path)])
+        problem = to_problem(load_problem(path))
+        factor = lr_adi_solve(problem, ShiftSequence((default_cayley_tau(problem),)), 50)
+        blocks = factor.Z.shape[1] // factor.block_width
+
+        def no_dense_adi(*args, **kwargs):
+            raise AssertionError("lr-adi must not run the dense ADI iteration")
+
+        monkeypatch.setattr(riccati.cli, "adi_solve", no_dense_adi)
+        capsys.readouterr()
+        assert main(["solve", "--input", str(path), "--method", "lr-adi"]) == 0
+        assert f"iterations: {blocks}\n" in capsys.readouterr().out
 
     def test_all_kind_method_pairs(self, tmp_path):
         pairs = {
