@@ -3,7 +3,8 @@
 All methods target the stabilizing solution of A*X + XA - XGX + Q = 0:
   - SDA after a Cayley transform to an equivalent discrete equation,
   - the matrix sign iteration (plain and determinantally scaled),
-  - Newton's method with an exact inner Lyapunov solve.
+  - Newton-Kleinman, each inner Lyapunov solve a Cayley transform to a
+    Stein equation followed by squared Smith.
 They are compared against an invariant-subspace computation from the
 Hamiltonian matrix, which serves as the independent reference.
 """

@@ -1,7 +1,8 @@
 """Continuous-time algebraic Riccati equation Q + A^*X + XA - XGX = 0.
 
 Three routes: Cayley reduction to a DARE followed by SDA, the scaled matrix
-sign iteration, and Newton's method with an exact inner Lyapunov solve.
+sign iteration, and Newton-Kleinman, whose inner Lyapunov solves are a Cayley
+reduction to a Stein equation followed by squared Smith.
 """
 
 import math
@@ -29,7 +30,15 @@ from .linalg import (
     solve_right,
     symmetrize,
 )
-from .reporting import SolveOptions, SolveReport, iterate, rate_from_updates
+from .lyapunov import LyapunovProblem, cayley_to_stein
+from .reporting import (
+    DEFAULT_DOUBLING_MAX_ITER,
+    SolveOptions,
+    SolveReport,
+    iterate,
+    rate_from_updates,
+)
+from .stein import a_overflow, squared_smith_step
 
 __all__ = [
     "CareProblem",
@@ -44,6 +53,10 @@ __all__ = [
     "newton_care_solve",
     "care_residual",
 ]
+
+# the inner doubling stops at ||A_j||_F <= sqrt(eps), a bound set by rounding,
+# not by the outer tolerance
+_INNER_OPTS = SolveOptions(tol=math.sqrt(np.finfo(float).eps))
 
 
 @dataclass(frozen=True)
@@ -124,7 +137,8 @@ def care_to_dare(problem: CareProblem, tau: float) -> DareProblem:
         raise StructureLoss(f"Cayley reduction with tau={tau} lost definiteness") from exc
 
 
-def default_cayley_tau(problem: CareProblem) -> float:
+def default_cayley_tau(problem) -> float:
+    """max(1, ||A||_F / sqrt(n)) for any problem with fields A and n."""
     return max(1.0, float(np.linalg.norm(problem.A)) / math.sqrt(problem.n))
 
 
@@ -136,7 +150,7 @@ def care_sda_solve(
     """Cayley-reduce to a DARE and run SDA, tracking CARE residuals.
 
     With tau=None a heuristic tau = max(1, ||A||_F / sqrt(n)) is used and
-    doubled up to twice on a singular reduction.
+    doubled up to twice on a singular reduction or a loss of definiteness.
     """
     if tau is None:
         base = default_cayley_tau(problem)
@@ -146,7 +160,7 @@ def care_sda_solve(
             try:
                 dare_problem = care_to_dare(problem, base * factor)
                 break
-            except (SingularShift, SingularAd) as exc:
+            except (SingularShift, SingularAd, StructureLoss) as exc:
                 last_exc = exc
         if dare_problem is None:
             raise last_exc
@@ -236,30 +250,52 @@ def sign_extract(h_inf, tau_ref: float) -> np.ndarray:
     return symmetrize(solve_right(u2, u1))
 
 
+def _kleinman_lyap_solve(closed_loop, rhs) -> np.ndarray:
+    """Solve A_cl^* X + X A_cl = -rhs by a Cayley reduction and squared Smith.
+
+    The doubling runs until ||A_j||_F^2 <= eps, where the remaining tail
+    A_j^* X A_j is below rounding.  That stop also certifies A_cl Hurwitz:
+    ||A_j||_F < 1 proves rho(c(A_cl)) < 1.  A shift on the spectrum, an
+    overflow of A_j or no certificate within 60 doublings raises
+    InnerSolveFailed.
+    """
+    lyap = LyapunovProblem(A=closed_loop, Q=rhs)
+    try:
+        stein_problem = cayley_to_stein(lyap, default_cayley_tau(lyap))
+    except SingularShift as exc:
+        raise InnerSolveFailed("closed loop A - G X_k has an eigenvalue at the Cayley shift") from exc
+    report, (ak, qk) = iterate(
+        (stein_problem.A, stein_problem.Q),
+        squared_smith_step,
+        lambda s: float(np.linalg.norm(s[0])),
+        _INNER_OPTS,
+        DEFAULT_DOUBLING_MAX_ITER,
+        solution=lambda s: s[1],
+        stop=a_overflow,
+    )
+    if not report.converged:
+        raise InnerSolveFailed(
+            f"closed loop A - G X_k is not Hurwitz: ||c(A_cl)^(2^j)||_F = "
+            f"{np.linalg.norm(ak):.3g} after {report.iterations} doublings"
+        )
+    return qk
+
+
 def newton_care_solve(
     problem: CareProblem, x0, opts: SolveOptions = SolveOptions()
 ) -> DareSolution:
-    """Newton iteration: each step solves the Lyapunov equation
+    """Newton-Kleinman iteration: each step solves the Lyapunov equation
     (A - G X_k)^* X_{k+1} + X_{k+1} (A - G X_k) = -Q - X_k G X_k.
 
-    The inner solves use the exact Kronecker oracle (desk scale).  A
-    non-stabilizing iterate surfaces as InnerSolveFailed, either from the
-    closed-loop spectrum precheck or from inner-solve breakdown.
+    Each inner solve Cayley-reduces the closed loop to a Stein equation and
+    runs squared Smith to machine precision, independently of opts.tol.  A
+    non-stabilizing iterate surfaces as InnerSolveFailed: the doubling of
+    c(A - G X_k) then overflows or never certifies rho < 1.
     """
-    from .oracle import kron_lyap_solve, max_real_eigenvalue  # deferred: oracle imports care types
-    from .lyapunov import LyapunovProblem
-
     a, g, q = problem.A, problem.G, problem.Q
 
     def step(x):
-        closed_loop = a - g @ x
-        if max_real_eigenvalue(closed_loop) > 1e-10:
-            raise InnerSolveFailed("closed loop A - G X_k is not Hurwitz")
-        rhs = symmetrize(q + x @ g @ x)
-        try:
-            x_next = kron_lyap_solve(LyapunovProblem(A=closed_loop, Q=rhs))
-        except SingularMatrix as exc:
-            raise InnerSolveFailed("inner Lyapunov operator is singular") from exc
+        x_next = _kleinman_lyap_solve(a - g @ x, symmetrize(q + x @ g @ x))
         return x_next, float(np.linalg.norm(x_next - x))
 
     report, x = iterate(symmetrize(as_matrix(x0)), step, lambda x: care_residual(x, problem), opts, 100)

@@ -97,6 +97,10 @@ def load_problem(path) -> ProblemFile:
     for key in ("kind", "n", "matrices"):
         if key not in doc:
             raise ParseError(f"{path}: missing field {key!r}")
+    n = doc["n"]
+    # bool is an int subclass, and int() would truncate 2.5 or parse "2"
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise ParseError(f"{path}: field 'n' must be a positive integer, got {n!r}")
     if not isinstance(doc["matrices"], dict):
         raise ParseError(f"{path}: field 'matrices' must be an object of named matrices")
     matrices = {
@@ -110,7 +114,7 @@ def load_problem(path) -> ProblemFile:
             raise ParseError(f"{path}: field 'shifts' must be a list of [re, im] pairs") from None
     return ProblemFile(
         kind=doc["kind"],
-        n=int(doc["n"]),
+        n=n,
         matrices=matrices,
         shifts=shifts,
         metadata=doc.get("metadata", {}),

@@ -42,7 +42,6 @@ __all__ = [
     "symplectic_pairing_defect",
     "hamiltonian_pairing_defect",
     "eigenvalues",
-    "max_real_eigenvalue",
 ]
 
 
@@ -75,10 +74,6 @@ def _check_cap(n: int, cap: int):
 
 def eigenvalues(m) -> np.ndarray:
     return np.linalg.eigvals(as_matrix(m))
-
-
-def max_real_eigenvalue(m) -> float:
-    return float(np.max(eigenvalues(m).real))
 
 
 def kron_stein_solve(problem: SteinProblem) -> np.ndarray:

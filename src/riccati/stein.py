@@ -15,7 +15,14 @@ from .reporting import (
     relative_residual,
 )
 
-__all__ = ["SteinProblem", "smith_step", "smith_solve", "squared_smith_solve", "stein_residual"]
+__all__ = [
+    "SteinProblem",
+    "smith_step",
+    "smith_solve",
+    "squared_smith_step",
+    "squared_smith_solve",
+    "stein_residual",
+]
 
 
 @dataclass(frozen=True)
@@ -59,6 +66,19 @@ def smith_solve(problem: SteinProblem, opts: SolveOptions = SolveOptions()) -> S
     )
 
 
+def squared_smith_step(state):
+    """One doubling step (A_k, Q_k) -> (A_k^2, Q_k + A_k^* Q_k A_k) and the
+    update norm ||Q_{k+1} - Q_k||."""
+    ak, qk = state
+    q_next = symmetrize(qk + ak.conj().T @ qk @ ak)
+    return (ak @ ak, q_next), float(np.linalg.norm(q_next - qk))
+
+
+def a_overflow(state, update) -> bool:
+    """Structural stop of a squared-Smith state (A_k, Q_k): ||A_k|| > 1e150."""
+    return bool(np.linalg.norm(state[0]) > NORM_OVERFLOW)
+
+
 def squared_smith_solve(problem: SteinProblem, opts: SolveOptions = SolveOptions()) -> SolveReport:
     """Doubling variant: A_{k+1} = A_k^2, Q_{k+1} = Q_k + A_k^* Q_k A_k.
 
@@ -68,20 +88,14 @@ def squared_smith_solve(problem: SteinProblem, opts: SolveOptions = SolveOptions
     is singular, and Q_k can reach a small relative residual while growing
     without bound.
     """
-
-    def step(state):
-        ak, qk = state
-        q_next = symmetrize(qk + ak.conj().T @ qk @ ak)
-        return (ak @ ak, q_next), float(np.linalg.norm(q_next - qk))
-
     report, (ak, _) = iterate(
         (problem.A.copy(), problem.Q.copy()),
-        step,
+        squared_smith_step,
         lambda s: stein_residual(s[1], problem),
         opts,
         DEFAULT_DOUBLING_MAX_ITER,
         solution=lambda s: s[1],
-        stop=lambda s, update: np.linalg.norm(s[0]) > NORM_OVERFLOW,
+        stop=a_overflow,
         always_step=True,
     )
     report.converged = report.converged and bool(np.linalg.norm(ak) < 1.0)

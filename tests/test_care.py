@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from riccati import (
     CareProblem,
@@ -206,3 +207,57 @@ class TestMethodAgreement:
             ]
             for x in candidates:
                 assert np.linalg.norm(x - x_ref) <= 1e-7 * np.linalg.norm(x_ref)
+
+
+class TestNewtonKleinman:
+    def test_unstable_closed_loop_start(self):
+        # the shift tau = 1 is regular, but c(A - G X_0) = c(0.5) = -3
+        p = CareProblem(A=[[0.5]], G=[[1.0]], Q=[[1.0]])
+        with pytest.raises(InnerSolveFailed):
+            newton_care_solve(p, np.zeros((1, 1)))
+
+    def test_inner_stop_ignores_outer_tol(self):
+        # a loose outer tol must not loosen the inner solves: one Newton step
+        # from 0 equals the Lyapunov solution of (A, Q) to rounding
+        p = random_instance(3, 8)
+        x1 = newton_care_solve(p, np.zeros((8, 8)), SolveOptions(tol=1e-2, max_iter=1)).X_plus
+        scale = np.linalg.norm(p.Q) + 2 * np.linalg.norm(p.A) * np.linalg.norm(x1)
+        assert np.linalg.norm(p.A.conj().T @ x1 + x1 @ p.A + p.Q) <= 1e-14 * scale
+
+    @pytest.mark.parametrize("n", [48, 64, 128])
+    def test_matches_scipy_above_oracle_cap(self, n):
+        rng = np.random.default_rng(n)
+        m = rng.standard_normal((n, n)) / np.sqrt(n)
+        # shift so the rightmost eigenvalue sits at -0.1: X_0 = 0 stabilizes
+        a = m - (np.max(np.linalg.eigvals(m).real) + 0.1) * np.eye(n)
+        b = rng.standard_normal((n, n // 4))
+        c = rng.standard_normal((n // 2, n))
+        p = CareProblem(A=a, G=b @ b.T, Q=c.T @ c)
+        # the closed loop is near critical, so the error is about 1e4 times
+        # the residual: solve to 1e-14 to compare at 1e-10
+        sol = newton_care_solve(p, np.zeros((n, n)), SolveOptions(tol=1e-14))
+        x_ref = scipy.linalg.solve_continuous_are(a, b, c.T @ c, np.eye(n // 4))
+        assert sol.report.converged
+        assert np.linalg.norm(sol.X_plus - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
+        assert np.max(np.linalg.eigvals(a - p.G @ sol.X_plus).real) < 0
+
+
+class TestCareSdaRetry:
+    def test_structure_loss_retries_doubled_tau(self, monkeypatch):
+        import riccati.care
+
+        reduce = riccati.care.care_to_dare
+        base = riccati.care.default_cayley_tau(SCALAR)
+        taus = []
+
+        def lose_definiteness_at_base(problem, tau):
+            taus.append(tau)
+            if tau == base:
+                raise StructureLoss("injected")
+            return reduce(problem, tau)
+
+        monkeypatch.setattr(riccati.care, "care_to_dare", lose_definiteness_at_base)
+        sol = care_sda_solve(SCALAR)
+        assert taus == [base, 2 * base]
+        assert sol.report.converged
+        assert abs(sol.X_plus[0, 0] - 1.0) <= 1e-10

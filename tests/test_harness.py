@@ -240,3 +240,22 @@ class TestBenchCommand:
 
     def test_empty_sizes_exit_64(self):
         assert main(["bench", "--kind", "stein", "--sizes"]) == 64
+
+
+class TestProblemSizeField:
+    @pytest.mark.parametrize("n", ["abc", 2.5, True, None, 0])
+    def test_bad_n_named(self, tmp_path, n):
+        doc = {"kind": "lyapunov", "n": n, "matrices": {"A": [[[-1.0, 0.0]]], "Q": [[[1.0, 0.0]]]}}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match="'n'"):
+            load_problem(path)
+
+
+class TestNewtonAboveOracleCap:
+    def test_cli_newton_n48_converges(self, tmp_path, capsys):
+        path = tmp_path / "care48.json"
+        assert main(["gen", "--kind", "care", "--n", "48", "--seed", "0", "--output", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["solve", "--input", str(path), "--method", "newton"]) == 0
+        assert "converged: True" in capsys.readouterr().out

@@ -1,0 +1,30 @@
+"""The solvers share no code path with the oracles that check them."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import riccati
+
+SOLVER_MODULES = ("stein", "lyapunov", "dare", "care", "nme", "reporting", "linalg")
+
+
+def _imported_modules(tree):
+    """Every module an import statement anywhere in the tree names, including
+    the names of a `from package import module` form."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.module:
+                yield node.module
+            yield from (alias.name for alias in node.names)
+
+
+@pytest.mark.parametrize("module", SOLVER_MODULES)
+def test_solver_module_does_not_import_oracle(module):
+    path = Path(riccati.__file__).with_name(f"{module}.py")
+    tree = ast.parse(path.read_text(), filename=str(path))
+    offending = [name for name in _imported_modules(tree) if "oracle" in name.split(".")]
+    assert offending == [], f"{module}.py imports {offending}"
