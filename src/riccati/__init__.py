@@ -45,7 +45,7 @@ from .errors import (
     StructureLoss,
 )
 from .generators import GeneratorSpec, gen_problem
-from .io import ProblemFile, load_problem, save_problem, save_report, to_problem
+from .io import ProblemFile, load_problem, save_problem, to_problem
 from .lyapunov import (
     LowRankFactor,
     LyapunovProblem,

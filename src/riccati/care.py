@@ -6,7 +6,6 @@ reduction to a Stein equation followed by squared Smith.
 """
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,13 +30,7 @@ from .linalg import (
     symmetrize,
 )
 from .lyapunov import LyapunovProblem, cayley_to_stein
-from .reporting import (
-    DEFAULT_DOUBLING_MAX_ITER,
-    SolveOptions,
-    SolveReport,
-    iterate,
-    rate_from_updates,
-)
+from .reporting import DEFAULT_DOUBLING_MAX_ITER, SolveOptions, iterate
 from .stein import a_overflow, squared_smith_step
 
 __all__ = [
@@ -70,20 +63,16 @@ class CareProblem(Coefficients):
 
 
 @dataclass(frozen=True)
-class SignOptions:
-    """Controls for the sign iteration; `scaling` is "none" or "determinantal"."""
+class SignOptions(SolveOptions):
+    """Stopping controls of the sign iteration (`max_iter=None` means 100)
+    plus its `scaling`, "none" or "determinantal"."""
 
     scaling: str = "none"
-    tol: float = 1e-12
-    max_iter: int = 100
 
     def __post_init__(self):
         if self.scaling not in ("none", "determinantal"):
             raise ValueError("scaling must be 'none' or 'determinantal'")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        super().__post_init__()
 
 
 def hamiltonian(problem: CareProblem) -> np.ndarray:
@@ -189,38 +178,34 @@ def sign_solve(problem: CareProblem, opts: SignOptions = SignOptions()) -> DareS
     With determinantal scaling every iterate is renormalized to unit
     determinantal scale, so the limit is the true sign of the Hamiltonian
     (eigenvalues +-1) in both scaling modes and extraction always uses the
-    reference shift 1.  `residual_history` records relative step norms.
-    One factorization of H_k gives both tau and (H_k/tau)^{-1} = tau H_k^{-1}.
+    reference shift 1.  The state (H_k, ||H_k - H_{k-1}|| / ||H_{k-1}||) runs
+    on `iterate` from H_1, so `residual_history` holds one relative step norm
+    per step, and X is extracted from the final H_k.  One factorization of
+    H_k gives both tau and (H_k/tau)^{-1} = tau H_k^{-1}.
     """
-    h = hamiltonian(problem)
     eye2n = np.eye(2 * problem.n)
-    t0 = time.perf_counter_ns()
-    history: list[float] = []
-    times: list[int] = []
-    converged = False
-    iterations = 0
-    for _ in range(opts.max_iter):
+
+    def advance(h):
         lu = lu_factor(h)
         tau = _geometric_mean(lu.pivots) if opts.scaling == "determinantal" else 1.0
         hn = (h / tau + tau * lu.solve(eye2n)) / 2
-        step = float(np.linalg.norm(hn - h) / max(np.linalg.norm(h), np.finfo(float).tiny))
-        h = hn
-        iterations += 1
-        history.append(step)
-        times.append(time.perf_counter_ns() - t0)
-        if step <= opts.tol:
-            converged = True
-            break
-    x = sign_extract(h, 1.0)
-    report = SolveReport(
-        X=x,
-        converged=converged,
-        iterations=iterations,
-        residual_history=history,
-        rate_estimate=rate_from_updates(history),
-        elapsed_ns=times,
+        return hn, float(np.linalg.norm(hn - h) / max(np.linalg.norm(h), np.finfo(float).tiny))
+
+    def step(state):
+        nxt = advance(state[0])
+        return nxt, nxt[1]
+
+    report, (h, _) = iterate(
+        advance(hamiltonian(problem)),
+        step,
+        lambda s: s[1],
+        opts,
+        100,
+        solution=lambda s: s[0],
+        first_iteration=1,
     )
-    return DareSolution(X_plus=x, Y_plus=None, report=report)
+    report.X = sign_extract(h, 1.0)
+    return DareSolution(X_plus=report.X, Y_plus=None, report=report)
 
 
 def sign_extract(h_inf, tau_ref: float) -> np.ndarray:

@@ -72,7 +72,9 @@ SOLVERS = {
         "sda": lambda p, o, s: sda_solve(p, o).report,
     },
     "care": {
-        "sign": lambda p, o, s: sign_solve(p, SignOptions(scaling="determinantal", tol=o.tol)).report,
+        "sign": lambda p, o, s: sign_solve(
+            p, SignOptions(scaling="determinantal", tol=o.tol, max_iter=o.max_iter)
+        ).report,
         "newton": lambda p, o, s: newton_care_solve(p, np.zeros((p.n, p.n)), o).report,
         "sda": lambda p, o, s: care_sda_solve(p, opts=o).report,
     },

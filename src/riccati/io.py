@@ -27,7 +27,7 @@ PROBLEMS = {
 }
 KINDS = tuple(PROBLEMS)
 
-__all__ = ["ProblemFile", "load_problem", "save_problem", "save_report", "to_problem"]
+__all__ = ["ProblemFile", "load_problem", "save_problem", "to_problem"]
 
 
 @dataclass
@@ -128,21 +128,3 @@ def to_problem(pf: ProblemFile):
         raise ParseError(f"unknown kind {pf.kind!r}")
     cls = PROBLEMS[pf.kind]
     return cls(**{f.name: pf.matrices[f.name] for f in fields(cls) if f.name in pf.matrices})
-
-
-def save_report(path, report):
-    """JSON dump of a solve report (solution matrix, residuals, timings)."""
-    doc = {
-        "converged": bool(report.converged),
-        "iterations": int(report.iterations),
-        "residual_history": [float(r) for r in report.residual_history],
-        "rate_estimate": None if report.rate_estimate is None else float(report.rate_estimate),
-        "closed_loop_radius": (
-            None if report.closed_loop_radius is None else float(report.closed_loop_radius)
-        ),
-        "elapsed_ns": [int(t) for t in report.elapsed_ns],
-        "X": _encode_matrix(report.X),
-    }
-    with open(path, "w", newline="\n") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")

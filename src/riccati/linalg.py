@@ -17,7 +17,6 @@ __all__ = [
     "as_matrix",
     "hermitian_part",
     "symmetrize",
-    "frobenius_norm",
     "LU",
     "lu_factor",
     "solve_linear",
@@ -64,10 +63,6 @@ def symmetrize(m) -> np.ndarray:
     """Unchecked Hermitian part, for re-symmetrizing iteration updates."""
     m = np.asarray(m, dtype=np.complex128)
     return (m + m.conj().T) / 2
-
-
-def frobenius_norm(m) -> float:
-    return float(np.linalg.norm(np.asarray(m, dtype=np.complex128)))
 
 
 class LU:

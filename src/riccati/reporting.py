@@ -10,6 +10,9 @@ __all__ = ["SolveOptions", "SolveReport", "DEFAULT_BASIC_MAX_ITER", "DEFAULT_DOU
 DEFAULT_BASIC_MAX_ITER = 10_000
 DEFAULT_DOUBLING_MAX_ITER = 60
 NORM_OVERFLOW = 1e150
+# an iteration with no structural stop ends when successive residuals differ
+# by at most this
+STAGNATION_TOL = 1e-15
 
 
 @dataclass(frozen=True)
@@ -17,20 +20,18 @@ class SolveOptions:
     """Stopping controls.
 
     `max_iter=None` picks the method default: 10^4 for one-step fixed-point
-    iterations, 60 for doubling iterations.
+    iterations, 60 for doubling iterations, 100 for Newton-Kleinman and the
+    sign iteration.
     """
 
     tol: float = 1e-12
     max_iter: int | None = None
-    stagnation_tol: float = 1e-15
 
     def __post_init__(self):
         if self.tol <= 0:
             raise ValueError("tol must be positive")
         if self.max_iter is not None and self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if self.stagnation_tol <= 0:
-            raise ValueError("stagnation_tol must be positive")
 
     def resolve_max_iter(self, default: int) -> int:
         return default if self.max_iter is None else self.max_iter
@@ -93,8 +94,9 @@ def iterate(
     `solution(state)` is the iterate X the state stands for.  Stops when the
     residual is <= opts.tol (converged), is non-finite or ||X|| > 1e150, at
     max_iter, and on `stop(state, update)` if given (a doubling iteration's
-    structural stop), else on residual stagnation.  `first_iteration` is the
-    count of the start; `always_step` steps even when the start meets tol.
+    structural stop), else on residual stagnation (successive residuals within
+    STAGNATION_TOL).  `first_iteration` is the count of the start;
+    `always_step` steps even when the start meets tol.
     """
     max_iter = opts.resolve_max_iter(default_max_iter)
     t0 = time.perf_counter_ns()
@@ -103,23 +105,26 @@ def iterate(
     updates: list[float] = []
     converged = history[0] <= opts.tol and not always_step
     iterations = first_iteration
-    while not converged and iterations < max_iter:
-        state, update = step(state)
-        updates.append(update)
-        iterations += 1
-        res = residual(state)
-        history.append(res)
-        times.append(time.perf_counter_ns() - t0)
-        if not np.isfinite(res) or np.linalg.norm(solution(state)) > NORM_OVERFLOW:
-            break
-        if res <= opts.tol:
-            converged = True
-            break
-        if stop is None:
-            if abs(history[-2] - res) <= opts.stagnation_tol:
+    # an overflowing step or norm ends the run through the guards below, so
+    # numpy's overflow warning would only repeat that to the caller
+    with np.errstate(over="ignore"):
+        while not converged and iterations < max_iter:
+            state, update = step(state)
+            updates.append(update)
+            iterations += 1
+            res = residual(state)
+            history.append(res)
+            times.append(time.perf_counter_ns() - t0)
+            if not np.isfinite(res) or np.linalg.norm(solution(state)) > NORM_OVERFLOW:
                 break
-        elif stop(state, update):
-            break
+            if res <= opts.tol:
+                converged = True
+                break
+            if stop is None:
+                if abs(history[-2] - res) <= STAGNATION_TOL:
+                    break
+            elif stop(state, update):
+                break
     report = SolveReport(
         X=solution(state),
         converged=converged,

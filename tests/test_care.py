@@ -1,3 +1,6 @@
+import re
+from dataclasses import fields
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -123,6 +126,50 @@ class TestSignSolve:
         for _ in range(6):
             assert np.linalg.norm(j @ h + h.conj().T @ j) <= 1e-8 * np.linalg.norm(h)
             h = (h + np.linalg.inv(h)) / 2
+
+    @pytest.mark.parametrize("scaling", ["none", "determinantal"])
+    def test_history_is_relative_step_norms(self, scaling):
+        p = random_instance(4, 5)
+        report = sign_solve(p, SignOptions(scaling=scaling)).report
+        h = hamiltonian(p)
+        steps = []
+        for _ in range(report.iterations):
+            tau = determinantal_tau(h) if scaling == "determinantal" else 1.0
+            h_next = (h / tau + tau * np.linalg.inv(h)) / 2
+            steps.append(np.linalg.norm(h_next - h) / np.linalg.norm(h))
+            h = h_next
+        assert report.converged
+        assert len(report.residual_history) == report.iterations
+        assert np.allclose(report.residual_history, steps, rtol=1e-8, atol=1e-15)
+
+    def test_stagnation_stops_unreachable_tol(self):
+        # step norms settle at rounding level, far above tol, and stop the
+        # run on stagnation long before the default budget of 100 steps
+        p = random_instance(0, 5)
+        sol = sign_solve(p, SignOptions(tol=1e-300))
+        assert not sol.report.converged
+        assert sol.report.iterations < 20
+        assert care_residual(sol.X_plus, p) <= 1e-12
+
+
+class TestSignOptions:
+    def test_is_solve_options(self):
+        opts = SignOptions()
+        assert isinstance(opts, SolveOptions)
+        assert (opts.tol, opts.max_iter, opts.scaling) == (1e-12, None, "none")
+        assert [f.name for f in fields(SignOptions)] == ["tol", "max_iter", "scaling"]
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"scaling": "bogus"}, "scaling must be 'none' or 'determinantal'"),
+            ({"tol": 0}, "tol must be positive"),
+            ({"max_iter": 0}, "max_iter must be >= 1"),
+        ],
+    )
+    def test_invalid_value_raises(self, kwargs, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SignOptions(**kwargs)
 
 
 class TestSignExtract:

@@ -131,6 +131,23 @@ class TestSolveCommand:
         code = main(["solve", "--input", str(path), "--method", "smith", "--max-iter", "50"])
         assert code == 2
 
+    def test_sign_honours_max_iter(self, tmp_path, capsys):
+        path = tmp_path / "care.json"
+        main(["gen", "--kind", "care", "--n", "8", "--seed", "1", "--output", str(path)])
+        capsys.readouterr()
+        assert main(["solve", "--input", str(path), "--method", "sign"]) == 0
+        default = capsys.readouterr().out
+        assert "iterations: 6\n" in default
+        # a budget the iteration does not use leaves the output as it is
+        assert main(["solve", "--input", str(path), "--method", "sign", "--max-iter", "50"]) == 0
+        assert capsys.readouterr().out == default
+        # after one step H_1 is no sign matrix yet, so the extraction fails
+        code = main(["solve", "--input", str(path), "--method", "sign", "--max-iter", "1"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "iterations: 6" not in captured.out
+        assert "null space" in captured.err
+
     def test_unknown_method_exit_64(self, tmp_path):
         path = self.gen(tmp_path)
         assert main(["solve", "--input", str(path), "--method", "qr"]) == 64

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -7,7 +5,6 @@ from hypothesis import given, strategies as st
 from riccati.errors import SingularMatrix
 from riccati.linalg import (
     as_matrix,
-    frobenius_norm,
     hermitian_part,
     lu_factor,
     min_pivot,
@@ -85,22 +82,6 @@ class TestSolveLinear:
         b = rng.standard_normal((4, 4))
         x = solve_right(b, m)
         assert np.allclose(x @ m, b)
-
-
-class TestFrobeniusNorm:
-    def test_identity(self):
-        assert frobenius_norm(np.eye(3)) == pytest.approx(math.sqrt(3))
-
-    def test_zero(self):
-        assert frobenius_norm(np.zeros((2, 2))) == 0.0
-
-    def test_three_four_five(self):
-        assert frobenius_norm([[3.0, 4.0]]) == pytest.approx(5.0)
-
-    @given(st.floats(min_value=-100, max_value=100, allow_nan=False))
-    def test_absolute_homogeneity(self, alpha):
-        m = np.array([[1.0, -2.0], [0.5, 3.0]])
-        assert frobenius_norm(alpha * m) == pytest.approx(abs(alpha) * frobenius_norm(m), abs=1e-12)
 
 
 class TestPsdCheck:

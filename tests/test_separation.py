@@ -1,4 +1,5 @@
-"""The solvers share no code path with the oracles that check them."""
+"""The solvers share no code path with the oracles that check them, and every
+solver report comes from the one iteration driver."""
 
 import ast
 from pathlib import Path
@@ -28,3 +29,23 @@ def test_solver_module_does_not_import_oracle(module):
     tree = ast.parse(path.read_text(), filename=str(path))
     offending = [name for name in _imported_modules(tree) if "oracle" in name.split(".")]
     assert offending == [], f"{module}.py imports {offending}"
+
+
+def _called_names(tree):
+    """The name of every function or class a call anywhere in the tree names."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Name):
+                yield func.id, node.lineno
+            elif isinstance(func, ast.Attribute):
+                yield func.attr, node.lineno
+
+
+@pytest.mark.parametrize("module", ("stein", "lyapunov", "dare", "care", "nme"))
+def test_solver_module_builds_no_report(module):
+    """Every solver's report comes from the one iteration driver."""
+    path = Path(riccati.__file__).with_name(f"{module}.py")
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = [line for name, line in _called_names(tree) if name == "SolveReport"]
+    assert lines == [], f"{module}.py constructs SolveReport on lines {lines}"
