@@ -172,7 +172,7 @@ def determinantal_tau(hk) -> float:
     return _geometric_mean(lu_factor(hk).pivots)
 
 
-def sign_solve(problem: CareProblem, opts: SignOptions = SignOptions()) -> DareSolution:
+def sign_solve(problem: CareProblem, opts: SolveOptions = SignOptions()) -> DareSolution:
     """Matrix sign iteration H <- ((H/tau) + (H/tau)^{-1}) / 2.
 
     With determinantal scaling every iterate is renormalized to unit
@@ -181,13 +181,15 @@ def sign_solve(problem: CareProblem, opts: SignOptions = SignOptions()) -> DareS
     reference shift 1.  The state (H_k, ||H_k - H_{k-1}|| / ||H_{k-1}||) runs
     on `iterate` from H_1, so `residual_history` holds one relative step norm
     per step, and X is extracted from the final H_k.  One factorization of
-    H_k gives both tau and (H_k/tau)^{-1} = tau H_k^{-1}.
+    H_k gives both tau and (H_k/tau)^{-1} = tau H_k^{-1}.  A plain
+    SolveOptions as `opts` means scaling="none".
     """
     eye2n = np.eye(2 * problem.n)
+    determinantal = isinstance(opts, SignOptions) and opts.scaling == "determinantal"
 
     def advance(h):
         lu = lu_factor(h)
-        tau = _geometric_mean(lu.pivots) if opts.scaling == "determinantal" else 1.0
+        tau = _geometric_mean(lu.pivots) if determinantal else 1.0
         hn = (h / tau + tau * lu.solve(eye2n)) / 2
         return hn, float(np.linalg.norm(hn - h) / max(np.linalg.norm(h), np.finfo(float).tiny))
 

@@ -161,10 +161,11 @@ def bmf_factorize(m1, m2, n1, n2):
     return blocks[:n, :n], blocks[:n, n:], blocks[n:, :n], blocks[n:, n:]
 
 
-def build_symplectic(problem: DareProblem) -> np.ndarray:
-    """The symplectic matrix [I G; 0 A^*]^{-1} [A 0; -Q I]."""
-    a, g, q = problem.A, problem.G, problem.Q
-    n = problem.n
+def build_symplectic(a, g, q) -> np.ndarray:
+    """The symplectic matrix [I G; 0 A^*]^{-1} [A 0; -Q I] of raw coefficients,
+    which need not be definite (no DareProblem validation)."""
+    a, g, q = as_matrix(a), as_matrix(g), as_matrix(q)
+    n = a.shape[0]
     eye, zero = np.eye(n), np.zeros((n, n))
     left = np.block([[eye, g], [zero, a.conj().T]])
     right = np.block([[a, zero], [-q, eye]])
@@ -181,7 +182,7 @@ def wiener_hopf_check(sol: DareSolution, problem: DareProblem) -> float:
     a, g, q = problem.A, problem.G, problem.Q
     n = problem.n
     eye = np.eye(n)
-    s = build_symplectic(problem)
+    s = build_symplectic(problem.A, problem.G, problem.Q)
     d1 = solve_linear(a.conj().T, eye + q @ y)  # ((I+QY)^{-1}A^*)^{-1}
     d2 = solve_linear(eye + g @ x, a)
     w = np.block([[-y, eye], [eye, x]])

@@ -1,9 +1,14 @@
 """Problem-file serialization.
 
-JSON on disk, with every matrix entry written as an explicit [re, im] pair so
-complex data round-trips without ambiguity.
+JSON on disk.  Format 2, the only one written, stores each matrix as
+{"shape": [rows, cols], "data": base64 of its little-endian complex128
+entries in C order} and carries a top-level "format": 2.  A file without
+"format" is format 1, where each matrix is a nested list of [re, im] pairs;
+those files still load to the same arrays.  Shifts are [re, im] pairs in
+both formats.
 """
 
+import base64
 import json
 from dataclasses import MISSING, dataclass, field, fields
 
@@ -57,11 +62,20 @@ class ProblemFile:
             self.matrices[name] = m
 
 
-def _encode_matrix(m: np.ndarray) -> list:
-    return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(m, dtype=np.complex128)]
+_LE_COMPLEX = np.dtype("<c16")
 
 
-def _decode_matrix(name: str, data) -> np.ndarray:
+def _is_int(v) -> bool:
+    # bool is an int subclass, and int() would truncate 2.5 or parse "2"
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _encode_matrix(m: np.ndarray) -> dict:
+    m = np.asarray(m, dtype=_LE_COMPLEX)
+    return {"shape": list(m.shape), "data": base64.b64encode(m.tobytes()).decode("ascii")}
+
+
+def _decode_matrix_v1(name: str, data) -> np.ndarray:
     try:
         arr = np.asarray(data, dtype=float)
         if arr.ndim != 3 or arr.shape[2] != 2:
@@ -71,8 +85,32 @@ def _decode_matrix(name: str, data) -> np.ndarray:
     return arr[:, :, 0] + 1j * arr[:, :, 1]
 
 
+def _decode_matrix_v2(name: str, entry) -> np.ndarray:
+    if not isinstance(entry, dict):
+        raise ParseError(f"matrix {name!r} must be an object with fields 'shape' and 'data'")
+    shape = entry.get("shape")
+    if not (isinstance(shape, list) and len(shape) == 2 and all(_is_int(d) and d >= 0 for d in shape)):
+        raise ParseError(f"matrix {name!r}: field 'shape' must be [rows, cols], got {shape!r}")
+    try:
+        raw = base64.b64decode(entry.get("data"), validate=True)
+    except (TypeError, ValueError):  # binascii.Error is a ValueError
+        raise ParseError(f"matrix {name!r}: field 'data' is not valid base64") from None
+    rows, cols = shape
+    if len(raw) != 16 * rows * cols:
+        raise ParseError(
+            f"matrix {name!r}: field 'data' holds {len(raw)} bytes, expected 16*{rows}*{cols}"
+        )
+    # astype copies, so the array owns writable memory in native byte order
+    return np.frombuffer(raw, dtype=_LE_COMPLEX).reshape(rows, cols).astype(np.complex128)
+
+
+# the matrix decoder of each file format; a file without "format" is format 1
+_DECODERS = {1: _decode_matrix_v1, 2: _decode_matrix_v2}
+
+
 def save_problem(path, problem: ProblemFile):
     doc = {
+        "format": 2,
         "kind": problem.kind,
         "n": problem.n,
         "matrices": {name: _encode_matrix(m) for name, m in problem.matrices.items()},
@@ -98,14 +136,15 @@ def load_problem(path) -> ProblemFile:
         if key not in doc:
             raise ParseError(f"{path}: missing field {key!r}")
     n = doc["n"]
-    # bool is an int subclass, and int() would truncate 2.5 or parse "2"
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+    if not _is_int(n) or n < 1:
         raise ParseError(f"{path}: field 'n' must be a positive integer, got {n!r}")
+    fmt = doc.get("format", 1)
+    if not _is_int(fmt) or fmt not in _DECODERS:
+        raise ParseError(f"{path}: field 'format' must be 1 or 2, got {fmt!r}")
     if not isinstance(doc["matrices"], dict):
         raise ParseError(f"{path}: field 'matrices' must be an object of named matrices")
-    matrices = {
-        name: _decode_matrix(name, data) for name, data in doc["matrices"].items()
-    }
+    decode = _DECODERS[fmt]
+    matrices = {name: decode(name, data) for name, data in doc["matrices"].items()}
     shifts = None
     if "shifts" in doc:
         try:

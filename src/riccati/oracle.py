@@ -144,7 +144,7 @@ def sda_factorization_check(state: DoublingState, problem: DareProblem) -> float
     with the left side computed by explicit repeated squaring of S^{-1}."""
     n = problem.n
     eye, zero = np.eye(n), np.zeros((n, n))
-    s = build_symplectic(problem)
+    s = build_symplectic(problem.A, problem.G, problem.Q)
     s_inv = solve_linear(s, np.eye(2 * n))
     target = _squared_power(s_inv, state.k)
     left = np.block([[state.Ak, zero], [-state.Qk, eye]])
@@ -204,7 +204,7 @@ def tridiag_schur_oracle(problem: NmeProblem, m: int) -> CrState:
 
 
 def symplectic_from_dare(problem: DareProblem) -> SymplecticPair:
-    s = build_symplectic(problem)
+    s = build_symplectic(problem.A, problem.G, problem.Q)
     return SymplecticPair(S=s, J=_structure_j(problem.n))
 
 

@@ -131,8 +131,9 @@ def test_criterion_3_linear_vs_quadratic_counts(capsys, tmp_path):
         assert main(["bench", "--kind", "stein", "--sizes", "8", "16", "32",
                      "--seed", "3", "--output", str(out)]) == 0
         cells = {}
-        for row in csv.DictReader(out.open()):
-            cells.setdefault(row["n"], {})[row["method"]] = int(row["iterations"])
+        with out.open() as fh:
+            for row in csv.DictReader(fh):
+                cells.setdefault(row["n"], {})[row["method"]] = int(row["iterations"])
         for n, methods in cells.items():
             assert methods["squared-smith"] <= math.ceil(math.log2(methods["smith"])) + 1
 
@@ -217,7 +218,7 @@ def test_criterion_8_structure_preservation(capsys):
             assert hamiltonian_pairing_defect(hamiltonian(p)) <= 1e-6
         for seed in range(3):
             p = to_problem(gen_problem(GeneratorSpec(kind="dare", n=4, seed=seed)))
-            s = build_symplectic(p)
+            s = build_symplectic(p.A, p.G, p.Q)
             SymplecticPair(S=s, J=j4)  # validates S^*JS = J at 1e-8 relative
             assert symplectic_pairing_defect(s) <= 1e-6
 

@@ -159,6 +159,14 @@ class TestSignOptions:
         assert (opts.tol, opts.max_iter, opts.scaling) == (1e-12, None, "none")
         assert [f.name for f in fields(SignOptions)] == ["tol", "max_iter", "scaling"]
 
+    def test_plain_solve_options_means_no_scaling(self):
+        plain = sign_solve(SCALAR, SolveOptions())
+        unscaled = sign_solve(SCALAR, SignOptions(scaling="none"))
+        assert plain.report.converged
+        assert abs(plain.X_plus[0, 0] - 1.0) <= 1e-12
+        assert np.array_equal(plain.X_plus, unscaled.X_plus)
+        assert plain.report.residual_history == unscaled.report.residual_history
+
     @pytest.mark.parametrize(
         "kwargs, message",
         [

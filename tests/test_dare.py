@@ -120,7 +120,7 @@ class TestSdaSolve:
         for seed in (21, 22, 23):
             p = random_instance(seed, 6)
             sol = sda_solve(p)
-            x = invariant_subspace_solve(build_symplectic(p), "inside_unit_circle")
+            x = invariant_subspace_solve(build_symplectic(p.A, p.G, p.Q), "inside_unit_circle")
             assert np.linalg.norm(sol.X_plus - x) <= 1e-8 * np.linalg.norm(x)
 
 

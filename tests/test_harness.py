@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from riccati.cli import main
+from riccati.cli import RESIDUALS, SOLVERS, _solve_dispatch, main
 from riccati.errors import InvalidSpec, ParseError
 from riccati.generators import GeneratorSpec, gen_problem
 from riccati.io import ProblemFile, load_problem, save_problem, to_problem
+from riccati.reporting import SolveOptions
 
 
 class TestProblemFileIO:
@@ -58,6 +59,134 @@ class TestProblemFileIO:
         path = tmp_path / "s.json"
         save_problem(path, pf)
         assert load_problem(path).shifts == [1.0 + 2.0j, 3.0 + 0.0j]
+
+
+# `riccati gen --kind stein --n 2 --seed 1` as written by the format-1
+# encoder, which stored every entry as an [re, im] pair and had no "format"
+V1_STEIN_N2_SEED1 = """\
+{
+  "kind": "stein",
+  "matrices": {
+    "A": [
+      [
+        [
+          0.17963136435424973,
+          0.470595337665585
+        ],
+        [
+          0.42706926845673165,
+          0.23202124196630033
+        ]
+      ],
+      [
+        [
+          0.1717580381018223,
+          -0.2791031663974798
+        ],
+        [
+          -0.6773686900508294,
+          0.3020596436545822
+        ]
+      ]
+    ],
+    "Q": [
+      [
+        [
+          0.9085245097827438,
+          -2.5315193342549124e-18
+        ],
+        [
+          -0.04596822988582506,
+          0.43782405008495345
+        ]
+      ],
+      [
+        [
+          -0.04596822988582506,
+          -0.43782405008495345
+        ],
+        [
+          0.7705654528614513,
+          1.3464383292435087e-17
+        ]
+      ]
+    ]
+  },
+  "metadata": {
+    "critical": false,
+    "generator": "stein-pcg64",
+    "interval": [
+      0.5,
+      2.0
+    ],
+    "radius": 0.9,
+    "rank": 2,
+    "seed": 1
+  },
+  "n": 2
+}
+"""
+
+
+class TestCompactFormat:
+    def test_gen_load_save_byte_identical(self, tmp_path):
+        path = tmp_path / "p.json"
+        assert main(["gen", "--kind", "dare", "--n", "5", "--seed", "4", "--output", str(path)]) == 0
+        doc = json.loads(path.read_text())
+        assert doc["format"] == 2
+        assert doc["matrices"]["A"]["shape"] == [5, 5]
+        again = tmp_path / "again.json"
+        save_problem(again, load_problem(path))
+        assert again.read_bytes() == path.read_bytes()
+
+    def test_rectangular_c_and_complex_shifts(self, tmp_path):
+        rng = np.random.default_rng(0)
+        c = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
+        pf = ProblemFile(kind="lyapunov", n=3,
+                         matrices={"A": -3.0 * np.eye(3) + 0.5j, "Q": c.conj().T @ c, "C": c},
+                         shifts=[1.5 - 0.25j, 2.0])
+        path = tmp_path / "lyap.json"
+        save_problem(path, pf)
+        assert json.loads(path.read_text())["matrices"]["C"]["shape"] == [2, 3]
+        loaded = load_problem(path)
+        assert loaded.shifts == [1.5 - 0.25j, 2.0 + 0.0j]
+        for name, m in pf.matrices.items():
+            assert np.array_equal(loaded.matrices[name], m), name
+            assert loaded.matrices[name].dtype == np.complex128
+            assert loaded.matrices[name].flags.writeable
+
+    @pytest.mark.parametrize(
+        "edit, named",
+        [
+            (lambda doc: doc["matrices"]["Q"].update(data="not base64!"), "'data'"),
+            (lambda doc: doc["matrices"]["Q"].update(data="AAAAAAAAAAA="), "'data'"),
+            (lambda doc: doc["matrices"]["Q"].pop("shape"), "'shape'"),
+            (lambda doc: doc["matrices"]["Q"].update(shape=[1, 1.0]), "'shape'"),
+            (lambda doc: doc.update(format=3), "'format'"),
+        ],
+        ids=["bad-base64", "wrong-byte-length", "missing-shape", "float-shape", "format-3"],
+    )
+    def test_malformed_field_named(self, tmp_path, edit, named):
+        path = tmp_path / "p.json"
+        save_problem(path, gen_problem(GeneratorSpec(kind="stein", n=1, seed=0)))
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match=named) as info:
+            load_problem(path)
+        if named != "'format'":
+            assert "'Q'" in str(info.value)
+
+    def test_v1_file_loads_identically(self, tmp_path, capsys):
+        path = tmp_path / "v1.json"
+        path.write_text(V1_STEIN_N2_SEED1)
+        loaded = load_problem(path)
+        expected = gen_problem(GeneratorSpec(kind="stein", n=2, seed=1))
+        assert loaded.matrices.keys() == expected.matrices.keys()
+        for name, m in expected.matrices.items():
+            assert np.array_equal(loaded.matrices[name], m), name
+        assert main(["solve", "--input", str(path), "--method", "squared-smith"]) == 0
+        assert "converged: True" in capsys.readouterr().out
 
 
 class TestGenerators:
@@ -117,7 +246,8 @@ class TestSolveCommand:
         code = main(["solve", "--input", str(path), "--method", "squared-smith",
                      "--trace", str(trace)])
         assert code == 0
-        rows = list(csv.reader(trace.open()))
+        with trace.open() as fh:
+            rows = list(csv.reader(fh))
         assert rows[0] == ["iter", "residual", "elapsed_ns"]
         assert len(rows) - 1 <= 15
         residuals = [float(r[1]) for r in rows[1:]]
@@ -198,6 +328,18 @@ class TestSolveCommand:
                 )
 
 
+class TestFinalResidual:
+    @pytest.mark.parametrize("kind, method", sorted((k, m) for k in SOLVERS for m in SOLVERS[k]))
+    def test_is_the_kinds_residual_of_x(self, kind, method):
+        specs = [GeneratorSpec(kind=kind, n=6, seed=seed) for seed in (0, 1)]
+        if method in ("squared-smith", "cr"):
+            specs.append(GeneratorSpec(kind=kind, n=6, seed=0, critical=True))
+        for spec in specs:
+            pf = gen_problem(spec)
+            report, final = _solve_dispatch(pf, method, SolveOptions(tol=1e-12), None)
+            assert final == RESIDUALS[kind](report.X, to_problem(pf)), spec
+
+
 class TestVerifyCommand:
     def test_each_kind_passes(self, tmp_path):
         for kind in ("stein", "lyapunov", "dare", "care", "nme"):
@@ -238,7 +380,8 @@ class TestBenchCommand:
         code = main(["bench", "--kind", "stein", "--sizes", "8", "16", "--seed", "3",
                      "--output", str(out)])
         assert code == 0
-        rows = list(csv.DictReader(out.open()))
+        with out.open() as fh:
+            rows = list(csv.DictReader(fh))
         by_n = {}
         for row in rows:
             by_n.setdefault(row["n"], {})[row["method"]] = int(row["iterations"])
@@ -251,7 +394,8 @@ class TestBenchCommand:
         out = tmp_path / "bench.csv"
         assert main(["bench", "--kind", "dare", "--sizes", "16", "--seed", "3",
                      "--output", str(out)]) == 0
-        rows = list(csv.DictReader(out.open()))
+        with out.open() as fh:
+            rows = list(csv.DictReader(fh))
         sda_rows = [r for r in rows if r["method"] == "sda"]
         assert sda_rows and all(int(r["iterations"]) <= 60 for r in sda_rows)
 

@@ -67,7 +67,7 @@ class TestKronLyap:
 class TestInvariantSubspace:
     def test_dare_golden_ratio(self):
         p = DareProblem(A=[[1.0]], G=[[1.0]], Q=[[1.0]])
-        x = invariant_subspace_solve(build_symplectic(p), "inside_unit_circle")
+        x = invariant_subspace_solve(build_symplectic(p.A, p.G, p.Q), "inside_unit_circle")
         assert abs(x[0, 0] - PHI) <= 1e-10
         assert abs(x[0, 0] - sda_solve(p).X_plus[0, 0]) <= 1e-10
 
