@@ -29,7 +29,7 @@ from .linalg import (
     solve_right,
     symmetrize,
 )
-from .lyapunov import LyapunovProblem, cayley_to_stein
+from .lyapunov import cayley_reduce
 from .reporting import DEFAULT_DOUBLING_MAX_ITER, SolveOptions, iterate
 from .stein import a_overflow, squared_smith_step
 
@@ -42,7 +42,6 @@ __all__ = [
     "care_sda_solve",
     "sign_solve",
     "sign_extract",
-    "determinantal_tau",
     "newton_care_solve",
     "care_residual",
 ]
@@ -50,6 +49,10 @@ __all__ = [
 # the inner doubling stops at ||A_j||_F <= sqrt(eps), a bound set by rounding,
 # not by the outer tolerance
 _INNER_OPTS = SolveOptions(tol=math.sqrt(np.finfo(float).eps))
+# the sign iteration converges quadratically: H_k is within a few times its
+# last relative step squared of the sign, and the rank test in sign_extract
+# needs it within 1e-8, so the stop is never looser than this
+_SIGN_MAX_TOL = 1e-5
 
 
 @dataclass(frozen=True)
@@ -128,7 +131,11 @@ def care_to_dare(problem: CareProblem, tau: float) -> DareProblem:
 
 def default_cayley_tau(problem) -> float:
     """max(1, ||A||_F / sqrt(n)) for any problem with fields A and n."""
-    return max(1.0, float(np.linalg.norm(problem.A)) / math.sqrt(problem.n))
+    return _cayley_tau(problem.A)
+
+
+def _cayley_tau(a) -> float:
+    return max(1.0, float(np.linalg.norm(a)) / math.sqrt(a.shape[0]))
 
 
 def care_sda_solve(
@@ -143,33 +150,24 @@ def care_sda_solve(
     """
     if tau is None:
         base = default_cayley_tau(problem)
-        last_exc = None
-        dare_problem = None
-        for factor in (1.0, 2.0, 4.0):
-            try:
-                dare_problem = care_to_dare(problem, base * factor)
-                break
-            except (SingularShift, SingularAd, StructureLoss) as exc:
-                last_exc = exc
-        if dare_problem is None:
-            raise last_exc
+        taus = (base, 2.0 * base, 4.0 * base)
     else:
-        dare_problem = care_to_dare(problem, tau)
+        taus = (tau,)
+    for t in taus[:-1]:
+        try:
+            dare_problem = care_to_dare(problem, t)
+            break
+        except (SingularShift, SingularAd, StructureLoss):
+            pass
+    else:
+        dare_problem = care_to_dare(problem, taus[-1])
     return sda_solve(dare_problem, opts, lambda q: care_residual(q, problem))
 
 
 def _geometric_mean(pivots) -> float:
-    # exponentiated mean of log-moduli, so it never overflows
+    # |det H_k|^(1/size) from the LU pivots, the geometric mean of the
+    # eigenvalue moduli: the exponentiated mean of log-moduli never overflows
     return float(np.exp(np.mean(np.log(pivots))))
-
-
-def determinantal_tau(hk) -> float:
-    """|det H_k|^(1/size) via the pivots of a row-pivoted factorization.
-
-    Computed as the exponentiated mean of pivot log-moduli, so it never
-    overflows; the geometric mean of the eigenvalue moduli.
-    """
-    return _geometric_mean(lu_factor(hk).pivots)
 
 
 def sign_solve(problem: CareProblem, opts: SolveOptions = SignOptions()) -> DareSolution:
@@ -181,8 +179,10 @@ def sign_solve(problem: CareProblem, opts: SolveOptions = SignOptions()) -> Dare
     reference shift 1.  The state (H_k, ||H_k - H_{k-1}|| / ||H_{k-1}||) runs
     on `iterate` from H_1, so `residual_history` holds one relative step norm
     per step, and X is extracted from the final H_k.  One factorization of
-    H_k gives both tau and (H_k/tau)^{-1} = tau H_k^{-1}.  A plain
-    SolveOptions as `opts` means scaling="none".
+    H_k gives both tau and (H_k/tau)^{-1} = tau H_k^{-1}.  The iteration
+    stops at a step of min(opts.tol, 1e-5), since a looser stop leaves H_k
+    too far from a sign matrix to extract X.  A plain SolveOptions as `opts`
+    means scaling="none".
     """
     eye2n = np.eye(2 * problem.n)
     determinantal = isinstance(opts, SignOptions) and opts.scaling == "determinantal"
@@ -201,7 +201,7 @@ def sign_solve(problem: CareProblem, opts: SolveOptions = SignOptions()) -> Dare
         advance(hamiltonian(problem)),
         step,
         lambda s: s[1],
-        opts,
+        SolveOptions(tol=min(opts.tol, _SIGN_MAX_TOL), max_iter=opts.max_iter),
         100,
         solution=lambda s: s[0],
         first_iteration=1,
@@ -244,15 +244,15 @@ def _kleinman_lyap_solve(closed_loop, rhs) -> np.ndarray:
     A_j^* X A_j is below rounding.  That stop also certifies A_cl Hurwitz:
     ||A_j||_F < 1 proves rho(c(A_cl)) < 1.  A shift on the spectrum, an
     overflow of A_j or no certificate within 60 doublings raises
-    InnerSolveFailed.
+    InnerSolveFailed.  Both matrices come from `newton_care_solve`, built
+    from a validated problem, so they are used unchecked.
     """
-    lyap = LyapunovProblem(A=closed_loop, Q=rhs)
     try:
-        stein_problem = cayley_to_stein(lyap, default_cayley_tau(lyap))
+        start = cayley_reduce(closed_loop, rhs, _cayley_tau(closed_loop))
     except SingularShift as exc:
         raise InnerSolveFailed("closed loop A - G X_k has an eigenvalue at the Cayley shift") from exc
     report, (ak, qk) = iterate(
-        (stein_problem.A, stein_problem.Q),
+        start,
         squared_smith_step,
         lambda s: float(np.linalg.norm(s[0])),
         _INNER_OPTS,

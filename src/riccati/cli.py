@@ -7,7 +7,6 @@ and LF line endings; wall-clock columns are informational only.
 
 import argparse
 import csv
-import os
 import sys
 import time
 
@@ -104,16 +103,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _oracle_cap(default: int) -> int:
-    raw = os.environ.get("RICCATI_ORACLE_CAP")
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        return default
-
-
 def _write_trace(path, history, elapsed):
     with open(path, "w", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -167,55 +156,49 @@ def cmd_solve(args) -> int:
     return EXIT_OK if report.converged else EXIT_NOT_CONVERGED
 
 
-def _check(rows, name: str, value: float, bound: float):
-    rows.append((name, value, value <= bound))
-
-
-def _verify_checks(pf) -> tuple[list, bool]:
-    """Returns (rows, skipped); each row is (name, measured, passed)."""
-    kron_cap = _oracle_cap(oracle.KRON_CAP)
-    eig_cap = _oracle_cap(oracle.EIG_CAP)
-    rows: list = []
-    opts = SolveOptions(tol=1e-13)
+def _verify_checks(pf) -> tuple[list, str | None]:
+    """Returns (rows, skip): each row is (name, measured, bound), and skip
+    says why a problem above its oracle's size cap was not checked."""
     try:
         problem = to_problem(pf)
     except ValueError:
         if pf.kind != "dare":
             raise
         problem = None  # indefinite data: spectral checks only
+    eigen = pf.kind in ("dare", "care")  # stein, lyapunov and nme run under KRON_CAP
+    cap = oracle.size_cap(oracle.EIG_CAP if eigen else oracle.KRON_CAP)
+    if pf.n > cap:
+        which = "EIG_CAP, the eigen-based" if eigen else "KRON_CAP, the Kronecker"
+        return [], f"n={pf.n} exceeds {cap} (oracle.{which} oracles' size cap; RICCATI_ORACLE_CAP overrides it)"
+    rows: list = []
+    opts = SolveOptions(tol=1e-13)
     rel = lambda x, y: float(np.linalg.norm(x - y) / max(np.linalg.norm(y), 1e-300))
 
     if pf.kind == "stein":
-        if pf.n > kron_cap:
-            return rows, True
         x_oracle = oracle.kron_stein_solve(problem)
         report = squared_smith_solve(problem, opts)
-        _check(rows, "kron-vs-squared-smith", rel(report.X, x_oracle), 1e-9)
+        rows.append(("kron-vs-squared-smith", rel(report.X, x_oracle), 1e-9))
     elif pf.kind == "lyapunov":
-        if pf.n > kron_cap:
-            return rows, True
         x_oracle = oracle.kron_lyap_solve(problem)
         report = adi_solve(problem, _shifts(problem, pf.shifts), SolveOptions(tol=1e-12, max_iter=5000))
-        _check(rows, "kron-vs-adi", rel(report.X, x_oracle), 1e-7)
+        rows.append(("kron-vs-adi", rel(report.X, x_oracle), 1e-7))
     elif pf.kind == "dare":
-        if pf.n > eig_cap:
-            return rows, True
         # S from the raw matrices, so indefinite-Q instances (like the
         # unit-circle example) still get the spectral checks
         s = build_symplectic(*(pf.matrices[k] for k in ("A", "G", "Q")))
-        _check(rows, "symplectic-pairing", oracle.symplectic_pairing_defect(s), 1e-6)
+        rows.append(("symplectic-pairing", oracle.symplectic_pairing_defect(s), 1e-6))
         try:
             subspace_x = oracle.invariant_subspace_solve(s, "inside_unit_circle")
         except RegionCountMismatch:
             subspace_x = None
             eigs = oracle.eigenvalues(s)
             defect = float(np.min(np.abs(np.abs(eigs) - 1.0)))
-            _check(rows, "region-count-mismatch-unit-circle", defect, 1e-8)
+            rows.append(("region-count-mismatch-unit-circle", defect, 1e-8))
         if problem is not None:
             sol = sda_solve(problem, opts)
             if subspace_x is not None:
-                _check(rows, "subspace-vs-sda", rel(sol.X_plus, subspace_x), 1e-8)
-                _check(rows, "wiener-hopf", wiener_hopf_check(sol, problem), 1e-8)
+                rows.append(("subspace-vs-sda", rel(sol.X_plus, subspace_x), 1e-8))
+                rows.append(("wiener-hopf", wiener_hopf_check(sol, problem), 1e-8))
             for k in range(min(sol.report.iterations, 3), -1, -1):
                 state = DoublingState(Ak=problem.A, Gk=problem.G, Qk=problem.Q, k=0)
                 for _ in range(k):
@@ -224,22 +207,18 @@ def _verify_checks(pf) -> tuple[list, bool]:
                     value = oracle.sda_factorization_check(state, problem)
                 except OverflowGuard:
                     continue  # S^{-2^k} not representable; retry a smaller k
-                _check(rows, f"doubling-factorization-k{k}", value, 1e-7)
+                rows.append((f"doubling-factorization-k{k}", value, 1e-7))
                 break
     elif pf.kind == "care":
-        if pf.n > eig_cap:
-            return rows, True
         h = hamiltonian(problem)
-        _check(rows, "hamiltonian-pairing", oracle.hamiltonian_pairing_defect(h), 1e-6)
-        _check(rows, "sign-squaring-relation", oracle.sign_relation_check(problem, 1.0, 2), 1e-8)
+        rows.append(("hamiltonian-pairing", oracle.hamiltonian_pairing_defect(h), 1e-6))
+        rows.append(("sign-squaring-relation", oracle.sign_relation_check(problem, 1.0, 2), 1e-8))
         sol = care_sda_solve(problem, opts=opts)
         x_oracle = oracle.invariant_subspace_solve(h, "left_half_plane")
-        _check(rows, "subspace-vs-sda", rel(sol.X_plus, x_oracle), 1e-7)
+        rows.append(("subspace-vs-sda", rel(sol.X_plus, x_oracle), 1e-7))
         sol_sign = sign_solve(problem, SignOptions(scaling="determinantal"))
-        _check(rows, "sign-vs-sda", rel(sol_sign.X_plus, sol.X_plus), 1e-7)
+        rows.append(("sign-vs-sda", rel(sol_sign.X_plus, sol.X_plus), 1e-7))
     else:  # nme
-        if pf.n > kron_cap:
-            return rows, True
         schur_state = oracle.tridiag_schur_oracle(problem, 4)
         cr_state = cr_step(CrState(Ak=problem.A, Qk=problem.Q, Uk=problem.Q, k=0))
         defect = max(
@@ -247,22 +226,23 @@ def _verify_checks(pf) -> tuple[list, bool]:
             rel(schur_state.Qk, cr_state.Qk),
             rel(schur_state.Uk, cr_state.Uk),
         )
-        _check(rows, "tridiag-schur-vs-cr", defect, 1e-10)
+        rows.append(("tridiag-schur-vs-cr", defect, 1e-10))
         fact = spectral_factorize(problem, opts)
-        _check(rows, "spectral-factor-uqme", uqme_residual(fact.Y, problem), 1e-8)
-    return rows, False
+        rows.append(("spectral-factor-uqme", uqme_residual(fact.Y, problem), 1e-8))
+    return rows, None
 
 
 def cmd_verify(args) -> int:
     pf = load_problem(args.input)
-    rows, skipped = _verify_checks(pf)
-    if skipped:
-        print(f"skip: n={pf.n} exceeds the oracle size cap")
+    rows, skip = _verify_checks(pf)
+    if skip:
+        print(f"skip: {skip}")
         return EXIT_OK
     all_pass = True
-    for name, value, ok in rows:
+    for name, value, bound in rows:
+        ok = value <= bound
         all_pass &= ok
-        print(f"{'PASS' if ok else 'FAIL'}  {name:<36} {value:.3e}")
+        print(f"{'PASS' if ok else 'FAIL'}  {name:<36} {value:.3e}  (bound {bound:.0e})")
     return EXIT_OK if all_pass else EXIT_ERROR
 
 
@@ -340,10 +320,7 @@ def main(argv=None) -> int:
     ]
     try:
         return handler(args)
-    except RiccatiError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except (OSError, ValueError) as exc:
+    except (RiccatiError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

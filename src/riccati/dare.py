@@ -89,11 +89,12 @@ def dare_residual(x, problem: DareProblem) -> float:
     return relative_residual(x, dare_step(x, problem), _dare_scale(x, problem))
 
 
-def closed_loop_radius(x, problem: DareProblem, max_doublings: int = 30) -> float:
-    """Spectral-radius estimate of the closed loop (I + G X)^{-1} A."""
+def closed_loop_radius(x, problem: DareProblem) -> float:
+    """Spectral-radius estimate of the closed loop (I + G X)^{-1} A, after
+    30 squarings."""
     eye = np.eye(problem.n)
     k = solve_linear(eye + problem.G @ as_matrix(x), problem.A)
-    return spectral_radius_estimate(k, max_doublings)
+    return spectral_radius_estimate(k, 30)
 
 
 def dare_fixed_point_solve(

@@ -67,10 +67,7 @@ def _random_unitary(rng, n: int) -> np.ndarray:
 
 
 def _stein(rng, spec: GeneratorSpec) -> dict:
-    a = _rand_matrix(rng, spec.n, spec.n)
-    target = 1.0 if spec.critical else spec.radius
-    rho = spectral_radius_estimate(a, 40)
-    a = a * (target / rho)
+    a = _stable_a(rng, spec.n, 1.0 if spec.critical else spec.radius)
     c = _rand_matrix(rng, spec.p, spec.n)
     return {"A": a, "Q": c.conj().T @ c}
 

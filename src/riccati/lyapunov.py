@@ -14,6 +14,7 @@ __all__ = [
     "LyapunovProblem",
     "ShiftSequence",
     "LowRankFactor",
+    "cayley_reduce",
     "cayley_to_stein",
     "adi_solve",
     "lr_adi_solve",
@@ -83,25 +84,29 @@ def _shifted(a: np.ndarray, tau: complex) -> np.ndarray:
     return a - np.conj(tau) * np.eye(a.shape[0])
 
 
-def cayley_to_stein(problem: LyapunovProblem, tau: complex) -> SteinProblem:
-    """Reduce the Lyapunov equation to the Stein equation in c(A).
-
-    c(A) = (A - conj(tau) I)^{-1} (A + tau I) and the new right-hand side is
-    2 Re(tau) (A^* - tau I)^{-1} Q (A - conj(tau) I)^{-1}; both equations have
-    the same solution set.
+def cayley_reduce(a, q, tau: complex) -> tuple[np.ndarray, np.ndarray]:
+    """Unvalidated Stein coefficients c(A) = (A - conj(tau) I)^{-1} (A + tau I)
+    and 2 Re(tau) (A^* - tau I)^{-1} Q (A - conj(tau) I)^{-1} of A^*X + XA + Q = 0,
+    from one LU; for Re(tau) > 0 both equations have the same solution set.
     """
     tau = complex(tau)
-    if tau.real <= 0:
-        raise ValueError("tau must lie in the open right half-plane")
-    a, q = problem.A, problem.Q
     try:
         lu = lu_factor(_shifted(a, tau))
     except SingularMatrix as exc:
         raise SingularShift(f"conj(tau)={np.conj(tau)} is an eigenvalue of A") from exc
-    c_of_a = lu.solve(a + tau * np.eye(problem.n))
+    c_of_a = lu.solve(a + tau * np.eye(a.shape[0]))
     half = lu.solve(q, trans=2)  # (A^* - tau I)^{-1} Q
     q_tilde = 2 * tau.real * lu.solve(half.conj().T, trans=2).conj().T  # half (A - conj(tau) I)^{-1}
-    return SteinProblem(A=c_of_a, Q=symmetrize(q_tilde))
+    return c_of_a, symmetrize(q_tilde)
+
+
+def cayley_to_stein(problem: LyapunovProblem, tau: complex) -> SteinProblem:
+    """Reduce the Lyapunov equation to the Stein equation in c(A)
+    (`cayley_reduce`), as a validated SteinProblem."""
+    if complex(tau).real <= 0:
+        raise ValueError("tau must lie in the open right half-plane")
+    c_of_a, q_tilde = cayley_reduce(problem.A, problem.Q, tau)
+    return SteinProblem(A=c_of_a, Q=q_tilde)
 
 
 def lyap_residual(x, problem: LyapunovProblem) -> float:

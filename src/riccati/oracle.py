@@ -7,6 +7,7 @@ allowed here and only here; everything is capped at desk scale because these
 routines exist to verify, not to compete.
 """
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,7 @@ POWER_NORM_GUARD = 1e12
 
 __all__ = [
     "SymplecticPair",
+    "size_cap",
     "kron_stein_solve",
     "kron_lyap_solve",
     "invariant_subspace_solve",
@@ -67,7 +69,18 @@ def _structure_j(n: int) -> np.ndarray:
     return np.block([[zero, eye], [-eye, zero]])
 
 
-def _check_cap(n: int, cap: int):
+def size_cap(default: int) -> int:
+    """The integer in RICCATI_ORACLE_CAP, read at each call, else `default`
+    (KRON_CAP or EIG_CAP); a value that is no integer raises ValueError."""
+    raw = os.environ.get("RICCATI_ORACLE_CAP", str(default))
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"RICCATI_ORACLE_CAP must be an integer, got {raw!r}") from None
+
+
+def _check_cap(n: int, default: int):
+    cap = size_cap(default)
     if n > cap:
         raise ValueError(f"oracle cap exceeded: n={n} > {cap}")
 

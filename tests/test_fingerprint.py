@@ -1,0 +1,27 @@
+"""Smoke test of tools/fingerprint.py on an n=1 grid."""
+
+import importlib.util
+from pathlib import Path
+
+from riccati.cli import SOLVERS
+
+SCRIPT = Path(__file__).resolve().parent.parent / "tools" / "fingerprint.py"
+
+
+def load_script():
+    spec = importlib.util.spec_from_file_location("fingerprint", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_cli_cell_has_an_entry():
+    fingerprint = load_script().fingerprint
+    # no critical instances: their basic iterations run to the 10^4 budget
+    entries = fingerprint(sizes=(1,), seeds=(0,), tols=(1e-12,), critical_kinds=())
+    for kind, methods in SOLVERS.items():
+        assert f"file {kind} n=1 seed=0" in entries
+        for method in methods:
+            entry = entries[f"solve {kind} {method} n=1 seed=0 tol=1e-12"]
+            assert "error" in entry or {"iterations", "converged", "X", "history"} <= set(entry)
+    assert "newton_care_solve x0=0.1I n=1 seed=0" in entries

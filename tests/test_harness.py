@@ -278,6 +278,12 @@ class TestSolveCommand:
         assert "iterations: 6" not in captured.out
         assert "null space" in captured.err
 
+    def test_sign_at_loose_tol(self, tmp_path, capsys):
+        path = tmp_path / "care.json"
+        main(["gen", "--kind", "care", "--n", "16", "--seed", "0", "--output", str(path)])
+        assert main(["solve", "--input", str(path), "--method", "sign", "--tol", "1e-3"]) == 0
+        assert "converged: True" in capsys.readouterr().out
+
     def test_unknown_method_exit_64(self, tmp_path):
         path = self.gen(tmp_path)
         assert main(["solve", "--input", str(path), "--method", "qr"]) == 64
@@ -372,6 +378,41 @@ class TestVerifyCommand:
         main(["gen", "--kind", "stein", "--n", "12", "--seed", "0", "--output", str(path)])
         assert main(["verify", "--input", str(path)]) == 0
         assert "skip" in capsys.readouterr().out
+
+    def test_skip_names_cap_and_override(self, tmp_path, capsys):
+        path = tmp_path / "big.json"
+        main(["gen", "--kind", "dare", "--n", "21", "--seed", "0", "--output", str(path)])
+        capsys.readouterr()
+        assert main(["verify", "--input", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("skip: n=21 exceeds 20 (oracle.EIG_CAP, the eigen-based oracles' size cap")
+        assert "RICCATI_ORACLE_CAP" in out
+
+    def test_oracle_cap_raised(self, tmp_path, capsys, monkeypatch):
+        # the override raises the cap as well as lowering it
+        monkeypatch.setenv("RICCATI_ORACLE_CAP", "60")
+        path = tmp_path / "big.json"
+        main(["gen", "--kind", "stein", "--n", "45", "--seed", "0", "--output", str(path)])
+        capsys.readouterr()
+        assert main(["verify", "--input", str(path)]) == 0
+        assert capsys.readouterr().out.startswith("PASS  kron-vs-squared-smith ")
+
+    def test_malformed_oracle_cap_is_an_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("RICCATI_ORACLE_CAP", "abc")
+        path = tmp_path / "p.json"
+        main(["gen", "--kind", "stein", "--n", "4", "--seed", "0", "--output", str(path)])
+        capsys.readouterr()
+        assert main(["verify", "--input", str(path)]) == 1
+        assert "RICCATI_ORACLE_CAP" in capsys.readouterr().err
+
+    def test_lines_show_bounds(self, tmp_path, capsys):
+        path = tmp_path / "p.json"
+        main(["gen", "--kind", "stein", "--n", "4", "--seed", "0", "--output", str(path)])
+        capsys.readouterr()
+        assert main(["verify", "--input", str(path)]) == 0
+        (line,) = capsys.readouterr().out.splitlines()
+        assert line.startswith("PASS  kron-vs-squared-smith ")
+        assert line.endswith("(bound 1e-09)")
 
 
 class TestBenchCommand:

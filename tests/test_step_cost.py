@@ -16,6 +16,7 @@ from riccati import (
     cayley_to_stein,
     dare_fixed_point_solve,
     dare_residual,
+    newton_care_solve,
     nme_fixed_point_solve,
     nme_residual,
     sign_solve,
@@ -47,20 +48,26 @@ def counting(monkeypatch, module, name):
     return calls
 
 
+def counting_everywhere(monkeypatch, name):
+    """Record the shape of the first argument of each call of linalg.<name>,
+    through every riccati module that binds it."""
+    calls = []
+    original = getattr(linalg, name)
+
+    def wrapper(m, *args):
+        calls.append(np.shape(m))
+        return original(m, *args)
+
+    for mod_name, module in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "riccati" and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
 @pytest.fixture
 def lu_calls(monkeypatch):
     """Calls of linalg.lu_factor through every riccati module that binds it."""
-    calls = []
-    original = linalg.lu_factor
-
-    def wrapper(m):
-        calls.append(np.shape(m))
-        return original(m)
-
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "riccati" and getattr(module, "lu_factor", None) is original:
-            monkeypatch.setattr(module, "lu_factor", wrapper)
-    return calls
+    return counting_everywhere(monkeypatch, "lu_factor")
 
 
 class TestOneFactorizationPerStep:
@@ -91,6 +98,17 @@ class TestOneFactorizationPerStep:
         lu_calls.clear()
         nme_residual(p.Q, p)
         assert lu_calls == [(6, 6)]
+
+
+class TestNewtonBuildsNoProblems:
+    def test_no_psd_check(self, monkeypatch):
+        # each inner Lyapunov equation is built from a validated problem and
+        # is PSD by construction, so no step validates it again
+        p = instance("care", n=16, seed=0)
+        calls = counting_everywhere(monkeypatch, "psd_check")
+        sol = newton_care_solve(p, np.zeros((16, 16)))
+        assert sol.report.converged
+        assert calls == []
 
 
 class TestOneReductionPerShift:

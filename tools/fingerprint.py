@@ -1,0 +1,110 @@
+"""Bit-level fingerprint of every CLI solve and every generated problem file.
+
+Prints one JSON object, one entry per line, keyed by cell.  Run it on two
+checkouts and diff the outputs to see which results a change moved:
+
+    python3 tools/fingerprint.py > after.json
+    (cd ../other-checkout && python3 tools/fingerprint.py) > before.json
+    diff before.json after.json
+
+Each solve entry holds the iteration count, the converged flag, SHA-256
+digests of X and of the residual history, the rate estimate, the
+closed-loop radius and the final residual as `riccati solve` prints it.  A
+solve that raises records its error instead.  The script imports riccati
+from the `src/` next to it, so each checkout fingerprints its own code.
+"""
+
+import hashlib
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+import numpy as np  # noqa: E402
+
+from riccati import cli  # noqa: E402
+from riccati.care import care_sda_solve, newton_care_solve  # noqa: E402
+from riccati.errors import RiccatiError  # noqa: E402
+from riccati.generators import GeneratorSpec, gen_problem  # noqa: E402
+from riccati.io import save_problem, to_problem  # noqa: E402
+from riccati.reporting import SolveOptions  # noqa: E402
+
+SIZES = (1, 6, 16, 32)
+SEEDS = (0, 1, 2, 3)
+TOLS = (1e-12, 1e-14, 1e-3)
+CRITICAL_KINDS = ("stein", "dare", "nme")
+CARE_SDA_TAUS = (None, 0.5, 2.0, 1e-6)
+
+
+def _sha(a) -> str:
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+
+def _number(v):
+    return None if v is None else repr(float(v))
+
+
+def _entry(run) -> dict:
+    """run() -> (report, final residual or None) as a JSON-ready entry."""
+    try:
+        report, final = run()
+    except (RiccatiError, ValueError, np.linalg.LinAlgError) as exc:
+        return {"error": f"{type(exc).__name__}: {exc}"}
+    entry = {
+        "iterations": report.iterations,
+        "converged": bool(report.converged),
+        "X": _sha(report.X),
+        "history": _sha(np.asarray(report.residual_history, dtype=float)),
+        "rate_estimate": _number(report.rate_estimate),
+        "closed_loop_radius": _number(report.closed_loop_radius),
+    }
+    if final is not None:
+        entry["final_residual"] = f"{final:.6e}"
+    return entry
+
+
+def _file_sha(pf, directory: Path) -> str:
+    path = directory / "problem.json"
+    save_problem(path, pf)
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def fingerprint(sizes=SIZES, seeds=SEEDS, tols=TOLS, critical_kinds=CRITICAL_KINDS) -> dict:
+    """Entries for the grid sizes x seeds x tols; the kinds in critical_kinds
+    also get their critical instances."""
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for kind, methods in cli.SOLVERS.items():
+            for critical in (False, True) if kind in critical_kinds else (False,):
+                label = f"{kind}-critical" if critical else kind
+                for n in sizes:
+                    for seed in seeds:
+                        pf = gen_problem(GeneratorSpec(kind=kind, n=n, seed=seed, critical=critical))
+                        cell = f"n={n} seed={seed}"
+                        out[f"file {label} {cell}"] = _file_sha(pf, Path(tmp))
+                        for method in methods:
+                            for tol in tols:
+                                opts = SolveOptions(tol=tol)
+                                out[f"solve {label} {method} {cell} tol={tol:g}"] = _entry(
+                                    lambda: cli._solve_dispatch(pf, method, opts, None)
+                                )
+    for n in sizes:
+        for seed in seeds:
+            p = to_problem(gen_problem(GeneratorSpec(kind="care", n=n, seed=seed)))
+            cell = f"n={n} seed={seed}"
+            for tau in CARE_SDA_TAUS:
+                out[f"care_sda_solve tau={tau} {cell}"] = _entry(
+                    lambda: (care_sda_solve(p, tau).report, None)
+                )
+            out[f"newton_care_solve x0=0.1I {cell}"] = _entry(
+                lambda: (newton_care_solve(p, 0.1 * np.eye(n)).report, None)
+            )
+    return out
+
+
+if __name__ == "__main__":
+    entries = fingerprint()
+    lines = (f"{json.dumps(key)}: {json.dumps(entries[key], sort_keys=True)}" for key in sorted(entries))
+    print("{\n" + ",\n".join(lines) + "\n}")
