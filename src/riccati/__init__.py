@@ -38,7 +38,6 @@ from .errors import (
     RankMismatch,
     RegionCountMismatch,
     RiccatiError,
-    SingularAd,
     SingularMatrix,
     SingularShift,
     SingularU1,

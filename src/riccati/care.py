@@ -14,7 +14,6 @@ from .dare import DareProblem, DareSolution, sda_solve
 from .errors import (
     InnerSolveFailed,
     RankMismatch,
-    SingularAd,
     SingularMatrix,
     SingularShift,
     SingularU1,
@@ -24,7 +23,6 @@ from .linalg import (
     Coefficients,
     as_matrix,
     lu_factor,
-    min_pivot,
     solve_linear,
     solve_right,
     symmetrize,
@@ -102,7 +100,8 @@ def care_to_dare(problem: CareProblem, tau: float) -> DareProblem:
     """Cayley-reduce the CARE to a DARE with the same solution set.
 
     The discrete coefficients are read off I + 2 tau K^{-1} with
-    K = [A - tau I, -G; Q, A^* - tau I].
+    K = [A - tau I, -G; Q, A^* - tau I].  A_d may be singular: that is the
+    Cayley image of an eigenvalue -tau of H, and no DARE solver inverts A_d.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
@@ -114,27 +113,16 @@ def care_to_dare(problem: CareProblem, tau: float) -> DareProblem:
         m = np.eye(2 * n) + 2 * tau * solve_linear(k, np.eye(2 * n))
     except SingularMatrix as exc:
         raise SingularShift(f"tau={tau} is (numerically) an eigenvalue of H") from exc
-    a_d = m[:n, :n]
-    try:
-        pivot = min_pivot(a_d)
-    except SingularMatrix:
-        pivot = 0.0
-    if pivot < 1e-14 * max(1.0, float(np.linalg.norm(m))):
-        raise SingularAd(f"discrete A block is singular for tau={tau}")
     try:
         # G_d and Q_d are symmetrized, so definiteness is the one check
         # DareProblem can fail on them
-        return DareProblem(A=a_d, G=symmetrize(m[:n, n:]), Q=symmetrize(-m[n:, :n]))
+        return DareProblem(A=m[:n, :n], G=symmetrize(m[:n, n:]), Q=symmetrize(-m[n:, :n]))
     except ValueError as exc:
         raise StructureLoss(f"Cayley reduction with tau={tau} lost definiteness") from exc
 
 
-def default_cayley_tau(problem) -> float:
-    """max(1, ||A||_F / sqrt(n)) for any problem with fields A and n."""
-    return _cayley_tau(problem.A)
-
-
-def _cayley_tau(a) -> float:
+def default_cayley_tau(a) -> float:
+    """The Cayley shift max(1, ||A||_F / sqrt(n)) of an n x n matrix A."""
     return max(1.0, float(np.linalg.norm(a)) / math.sqrt(a.shape[0]))
 
 
@@ -145,11 +133,11 @@ def care_sda_solve(
 ) -> DareSolution:
     """Cayley-reduce to a DARE and run SDA, tracking CARE residuals.
 
-    With tau=None a heuristic tau = max(1, ||A||_F / sqrt(n)) is used and
-    doubled up to twice on a singular reduction or a loss of definiteness.
+    With tau=None the shift starts at default_cayley_tau(A) and is doubled
+    up to twice when it is an eigenvalue of H or loses definiteness.
     """
     if tau is None:
-        base = default_cayley_tau(problem)
+        base = default_cayley_tau(problem.A)
         taus = (base, 2.0 * base, 4.0 * base)
     else:
         taus = (tau,)
@@ -157,7 +145,7 @@ def care_sda_solve(
         try:
             dare_problem = care_to_dare(problem, t)
             break
-        except (SingularShift, SingularAd, StructureLoss):
+        except (SingularShift, StructureLoss):
             pass
     else:
         dare_problem = care_to_dare(problem, taus[-1])
@@ -206,29 +194,27 @@ def sign_solve(problem: CareProblem, opts: SolveOptions = SignOptions()) -> Dare
         solution=lambda s: s[0],
         first_iteration=1,
     )
-    report.X = sign_extract(h, 1.0)
+    report.X = sign_extract(h)
     return DareSolution(X_plus=report.X, Y_plus=None, report=report)
 
 
-def sign_extract(h_inf, tau_ref: float) -> np.ndarray:
+def sign_extract(h_inf) -> np.ndarray:
     """Read the stabilizing solution off a converged sign iterate.
 
-    Takes the n smallest singular directions of H_inf + tau_ref I as an
-    orthonormal null-space basis [U1; U2] and returns U2 U1^{-1}.
+    Takes the n smallest singular directions of H_inf + I as an orthonormal
+    null-space basis [U1; U2] and returns U2 U1^{-1}.
     """
     h_inf = as_matrix(h_inf)
-    if tau_ref <= 0:
-        raise ValueError("tau_ref must be positive")
     size = h_inf.shape[0]
     if size % 2 != 0:
         raise ValueError("sign iterate must be 2n x 2n")
     n = size // 2
-    shifted = h_inf + tau_ref * np.eye(size)
+    shifted = h_inf + np.eye(size)
     _, s, vh = np.linalg.svd(shifted)
     rank_tol = 1e-8 * max(float(s[0]) if s.size else 0.0, 1.0)
     rank = int(np.sum(s > rank_tol))
     if rank != n:
-        raise RankMismatch(f"null space of H_inf + tau I has dimension {size - rank}, expected {n}")
+        raise RankMismatch(f"null space of H_inf + I has dimension {size - rank}, expected {n}")
     basis = vh[rank:, :].conj().T  # orthonormal kernel basis, 2n x n
     u1, u2 = basis[:n, :], basis[n:, :]
     sv = np.linalg.svd(u1, compute_uv=False)
@@ -248,7 +234,7 @@ def _kleinman_lyap_solve(closed_loop, rhs) -> np.ndarray:
     from a validated problem, so they are used unchecked.
     """
     try:
-        start = cayley_reduce(closed_loop, rhs, _cayley_tau(closed_loop))
+        start = cayley_reduce(closed_loop, rhs, default_cayley_tau(closed_loop))
     except SingularShift as exc:
         raise InnerSolveFailed("closed loop A - G X_k has an eigenvalue at the Cayley shift") from exc
     report, (ak, qk) = iterate(

@@ -38,8 +38,8 @@ EXIT_USAGE = 64
 
 
 def _shifts(problem, given) -> ShiftSequence:
-    """The given shifts, else the default single shift max(1, ||A||_F / sqrt(n))."""
-    return ShiftSequence(tuple(given)) if given else ShiftSequence((default_cayley_tau(problem),))
+    """The given shifts, else the single shift default_cayley_tau(A)."""
+    return ShiftSequence(tuple(given)) if given else ShiftSequence((default_cayley_tau(problem.A),))
 
 
 def _lr_adi(problem, opts, shifts):

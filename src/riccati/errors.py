@@ -13,10 +13,6 @@ class SingularShift(RiccatiError):
     """A Cayley/ADI shift coincides (numerically) with an eigenvalue."""
 
 
-class SingularAd(RiccatiError):
-    """The discrete-time A block produced by a Cayley reduction is singular."""
-
-
 class StructureLoss(RiccatiError):
     """A transformation destroyed positive semidefiniteness beyond tolerance."""
 

@@ -21,7 +21,6 @@ __all__ = [
     "lu_factor",
     "solve_linear",
     "solve_right",
-    "min_pivot",
     "psd_check",
     "Coefficients",
     "spectral_radius_estimate",
@@ -104,14 +103,6 @@ def lu_factor(m) -> LU:
     if lu.min_pivot < PIVOT_RTOL * max(1.0, float(np.linalg.norm(m))):
         raise SingularMatrix("pivot below singularity threshold")
     return lu
-
-
-def min_pivot(m) -> float:
-    """Smallest pivot modulus of the row-pivoted LU factorization of M.
-
-    Raises SingularMatrix when that pivot is below the lu_factor threshold.
-    """
-    return lu_factor(m).min_pivot
 
 
 def solve_linear(m, b) -> np.ndarray:

@@ -11,7 +11,6 @@ from .linalg import (
     as_matrix,
     hermitian_part,
     lu_factor,
-    min_pivot,
     solve_linear,
     spectral_radius_estimate,
     symmetrize,
@@ -48,7 +47,7 @@ class NmeProblem(Coefficients):
     def __post_init__(self):
         super().__post_init__()
         try:
-            definite = min_pivot(self.Q) >= 1e-12 * np.linalg.norm(self.Q)
+            definite = lu_factor(self.Q).min_pivot >= 1e-12 * np.linalg.norm(self.Q)
         except SingularMatrix:
             definite = False
         if not definite:

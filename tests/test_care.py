@@ -18,7 +18,7 @@ from riccati import (
     sign_solve,
 )
 from riccati.care import sign_extract as extract
-from riccati.errors import InnerSolveFailed, RankMismatch, SingularAd, StructureLoss
+from riccati.errors import InnerSolveFailed, RankMismatch, SingularShift, StructureLoss
 from riccati.generators import GeneratorSpec, gen_problem
 from riccati.io import to_problem
 from riccati.linalg import psd_check, solve_linear
@@ -39,9 +39,31 @@ class TestCareToDare:
         assert d.G[0, 0] == pytest.approx(0.8)
         assert d.Q[0, 0] == pytest.approx(0.8)
 
-    def test_singular_discrete_a(self):
-        with pytest.raises(SingularAd):
-            care_to_dare(SCALAR, 1.0)
+    def test_singular_discrete_a(self, monkeypatch):
+        # at tau = 1 = -lambda for the stable eigenvalue -1 of H, A_d = 0:
+        # SDA stops at once on the exact solution, at the first shift tried
+        import riccati.care
+
+        d = care_to_dare(SCALAR, 1.0)
+        assert np.array_equal(d.A, [[0.0]])
+        assert np.allclose([d.G[0, 0], d.Q[0, 0]], [1.0, 1.0], atol=1e-15)
+        reduce = riccati.care.care_to_dare
+        taus = []
+
+        def record_tau(problem, tau):
+            taus.append(tau)
+            return reduce(problem, tau)
+
+        monkeypatch.setattr(riccati.care, "care_to_dare", record_tau)
+        sol = care_sda_solve(SCALAR)
+        assert taus == [1.0]
+        assert sol.report.converged and sol.report.iterations == 0
+        assert sol.X_plus[0, 0] == pytest.approx(1.0, abs=1e-15)
+
+    def test_shift_at_eigenvalue_is_singular_shift(self):
+        # H = diag(2, -2) for A = 2, G = Q = 0, so K at tau = 2 is singular
+        with pytest.raises(SingularShift):
+            care_to_dare(CareProblem(A=[[2.0]], G=[[0.0]], Q=[[0.0]]), 2.0)
 
     def test_definiteness_loss_is_structure_loss(self):
         # a tiny tau on a badly scaled instance: the reduced G_d is indefinite
@@ -194,16 +216,16 @@ class TestSignOptions:
 
 class TestSignExtract:
     def test_scalar_kernel(self):
-        x = extract(np.array([[0.0, -1.0], [-1.0, 0.0]]), 1.0)
+        x = extract(np.array([[0.0, -1.0], [-1.0, 0.0]]))
         assert x[0, 0] == pytest.approx(1.0)
 
     def test_decoupled(self):
-        x = extract(np.diag([-1.0, 1.0]), 1.0)
+        x = extract(np.diag([-1.0, 1.0]))
         assert x[0, 0] == pytest.approx(0.0)
 
     def test_rank_mismatch(self):
         with pytest.raises(RankMismatch):
-            extract(np.eye(2), 1.0)
+            extract(np.eye(2))
 
 
 class TestNewton:
@@ -303,7 +325,7 @@ class TestCareSdaRetry:
         import riccati.care
 
         reduce = riccati.care.care_to_dare
-        base = riccati.care.default_cayley_tau(SCALAR)
+        base = riccati.care.default_cayley_tau(SCALAR.A)
         taus = []
 
         def lose_definiteness_at_base(problem, tau):

@@ -25,3 +25,5 @@ def test_every_cli_cell_has_an_entry():
             entry = entries[f"solve {kind} {method} n=1 seed=0 tol=1e-12"]
             assert "error" in entry or {"iterations", "converged", "X", "history"} <= set(entry)
     assert "newton_care_solve x0=0.1I n=1 seed=0" in entries
+    scalar = entries["care_sda_solve tau=1.0 scalar A=0 G=Q=1"]
+    assert scalar["converged"] and scalar["iterations"] == 0

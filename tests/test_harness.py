@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from riccati.cli import RESIDUALS, SOLVERS, _solve_dispatch, main
-from riccati.errors import InvalidSpec, ParseError
+from riccati.errors import InvalidSpec, ParseError, RiccatiError
 from riccati.generators import GeneratorSpec, gen_problem
 from riccati.io import ProblemFile, load_problem, save_problem, to_problem
 from riccati.reporting import SolveOptions
@@ -44,6 +44,8 @@ class TestProblemFileIO:
             ({"shifts": [1.0]}, "shifts"),
             ({"shifts": [[1.0, 0.0, 2.0]]}, "shifts"),
             ({"matrices": []}, "matrices"),
+            ({"format": 2}, "matrix 'A' must be an object"),
+            ({"matrices": {"A": [[-1.0]], "Q": [[[1.0, 0.0]]]}}, "matrix 'A' is not a nested array"),
         ],
     )
     def test_malformed_field_named(self, tmp_path, fields, named):
@@ -52,6 +54,33 @@ class TestProblemFileIO:
         path.write_text(json.dumps({**doc, **fields}))
         with pytest.raises(ParseError, match=named):
             load_problem(path)
+
+    @pytest.mark.parametrize(
+        "doc, named",
+        [
+            ([1, 2], "top level must be an object"),
+            ({"kind": "stein", "n": 1}, "missing field 'matrices'"),
+        ],
+        ids=["not-an-object", "missing-field"],
+    )
+    def test_malformed_document_named(self, tmp_path, doc, named):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match=named):
+            load_problem(path)
+
+    @pytest.mark.parametrize(
+        "kind, matrices, named",
+        [
+            ("stein", {"A": [0.5], "Q": [[1.0]]}, "'A' is not two-dimensional"),
+            ("stein", {"A": [[0.5, 0.0]], "Q": [[1.0]]}, r"'A' has shape \(1, 2\)"),
+            ("lyapunov", {"A": [[-1.0]], "Q": [[1.0]], "C": [[1.0, 0.0]]}, "'C' must have 1 columns"),
+        ],
+        ids=["1-d", "wrong-shape", "c-columns"],
+    )
+    def test_problem_file_rejects_bad_matrix(self, kind, matrices, named):
+        with pytest.raises(ParseError, match=named):
+            ProblemFile(kind=kind, n=1, matrices=matrices)
 
     def test_shifts_round_trip(self, tmp_path):
         pf = gen_problem(GeneratorSpec(kind="lyapunov", n=2, seed=2))
@@ -230,6 +259,18 @@ class TestGenerators:
             GeneratorSpec(kind="stein", n=4, seed=0, rank=5)
         with pytest.raises(InvalidSpec):
             GeneratorSpec(kind="bogus", n=4, seed=0)
+        with pytest.raises(InvalidSpec, match="n must be"):
+            GeneratorSpec(kind="stein", n=0, seed=0)
+        with pytest.raises(InvalidSpec, match="seed"):
+            GeneratorSpec(kind="stein", n=4, seed=-1)
+        with pytest.raises(InvalidSpec, match="critical"):
+            GeneratorSpec(kind="care", n=4, seed=0, critical=True)
+
+    def test_gen_invalid_spec_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "p.json"
+        assert main(["gen", "--kind", "stein", "--n", "0", "--output", str(path)]) == 1
+        assert "n must be >= 1" in capsys.readouterr().err
+        assert not path.exists()
 
 
 class TestSolveCommand:
@@ -304,7 +345,7 @@ class TestSolveCommand:
         path = tmp_path / "lyap.json"
         main(["gen", "--kind", "lyapunov", "--n", "4", "--seed", "2", "--output", str(path)])
         problem = to_problem(load_problem(path))
-        factor = lr_adi_solve(problem, ShiftSequence((default_cayley_tau(problem),)), 50)
+        factor = lr_adi_solve(problem, ShiftSequence((default_cayley_tau(problem.A),)), 50)
         blocks = factor.Z.shape[1] // factor.block_width
 
         def no_dense_adi(*args, **kwargs):
@@ -405,6 +446,13 @@ class TestVerifyCommand:
         assert main(["verify", "--input", str(path)]) == 1
         assert "RICCATI_ORACLE_CAP" in capsys.readouterr().err
 
+    def test_indefinite_stein_q_exit_1(self, tmp_path, capsys):
+        # only a DARE file is checked without a valid problem
+        path = tmp_path / "indefinite.json"
+        save_problem(path, ProblemFile(kind="stein", n=1, matrices={"A": [[0.5]], "Q": [[-1.0]]}))
+        assert main(["verify", "--input", str(path)]) == 1
+        assert "Q must be positive semidefinite" in capsys.readouterr().err
+
     def test_lines_show_bounds(self, tmp_path, capsys):
         path = tmp_path / "p.json"
         main(["gen", "--kind", "stein", "--n", "4", "--seed", "0", "--output", str(path)])
@@ -439,6 +487,18 @@ class TestBenchCommand:
             rows = list(csv.DictReader(fh))
         sda_rows = [r for r in rows if r["method"] == "sda"]
         assert sda_rows and all(int(r["iterations"]) <= 60 for r in sda_rows)
+
+    def test_failing_cell_writes_nan_exit_2(self, tmp_path, monkeypatch):
+        def breaks_down(problem, opts, shifts):
+            raise RiccatiError("injected")
+
+        monkeypatch.setitem(SOLVERS["stein"], "squared-smith", breaks_down)
+        out = tmp_path / "bench.csv"
+        assert main(["bench", "--kind", "stein", "--sizes", "4", "--output", str(out)]) == 2
+        with out.open() as fh:
+            rows = {row["method"]: row for row in csv.DictReader(fh)}
+        assert (rows["squared-smith"]["iterations"], rows["squared-smith"]["final_residual"]) == ("0", "nan")
+        assert int(rows["smith"]["iterations"]) > 0
 
     def test_empty_sizes_exit_64(self):
         assert main(["bench", "--kind", "stein", "--sizes"]) == 64

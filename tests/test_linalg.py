@@ -7,7 +7,6 @@ from riccati.linalg import (
     as_matrix,
     hermitian_part,
     lu_factor,
-    min_pivot,
     psd_check,
     solve_linear,
     solve_right,
@@ -128,14 +127,14 @@ class TestSpectralRadiusEstimate:
 
 class TestMinPivot:
     def test_identity(self):
-        assert min_pivot(np.eye(3)) == pytest.approx(1.0)
+        assert lu_factor(np.eye(3)).min_pivot == pytest.approx(1.0)
 
     def test_scaling(self):
-        assert min_pivot(np.diag([4.0, 2.0])) == pytest.approx(2.0)
+        assert lu_factor(np.diag([4.0, 2.0])).min_pivot == pytest.approx(2.0)
 
     def test_singular_raises(self):
         with pytest.raises(SingularMatrix):
-            min_pivot([[1.0, 1.0], [1.0, 1.0]])
+            lu_factor([[1.0, 1.0], [1.0, 1.0]]).min_pivot
 
 
 class TestLuFactor:

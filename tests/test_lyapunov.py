@@ -128,6 +128,12 @@ class TestLrAdiSolve:
         assert z.Z[0, 0] == pytest.approx(-1.0)
         assert z.gramian()[0, 0] == pytest.approx(1.0)
 
+    def test_shift_at_eigenvalue_is_singular_shift(self):
+        # A - conj(tau) I = 0 for A = 1 and tau = 1
+        p = LyapunovProblem(A=[[1.0]], Q=[[1.0]], C=[[1.0]])
+        with pytest.raises(SingularShift):
+            lr_adi_solve(p, ShiftSequence((1.0,)), 2)
+
     def test_zero_factor(self):
         p = LyapunovProblem(A=[[-1.0]], Q=[[0.0]], C=[[0.0]])
         z = lr_adi_solve(p, ShiftSequence((1.0,)), 3)

@@ -10,6 +10,7 @@ from riccati import (
     spectral_factorize,
     uqme_residual,
 )
+from riccati.errors import SingularMatrix
 from riccati.generators import GeneratorSpec, gen_problem
 from riccati.io import to_problem
 from riccati.linalg import psd_check
@@ -111,6 +112,11 @@ class TestCyclicReduction:
             state = cr_step(state)
             assert psd_check(state.Qk, 1e-10)
             assert psd_check(state.Uk, 1e-10)
+
+    def test_singular_uk_named(self):
+        state = CrState(Ak=np.eye(2), Qk=np.eye(2), Uk=np.zeros((2, 2)), k=0)
+        with pytest.raises(SingularMatrix, match="pivot block U_k is singular"):
+            cr_step(state)
 
 
 class TestSpectralFactorize:

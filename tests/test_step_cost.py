@@ -13,6 +13,7 @@ from riccati import (
     SignOptions,
     SolveOptions,
     adi_solve,
+    care_to_dare,
     cayley_to_stein,
     dare_fixed_point_solve,
     dare_residual,
@@ -88,6 +89,11 @@ class TestOneFactorizationPerStep:
         assert sol.report.converged
         # one factorization of H_k per step, plus the solve in sign_extract
         assert lu_calls == [(12, 12)] * sol.report.iterations + [(6, 6)]
+
+    def test_care_to_dare(self, lu_calls):
+        # K is factored once; nothing factors or inverts the discrete A
+        care_to_dare(instance("care"), 2.0)
+        assert lu_calls == [(12, 12)]
 
     def test_cayley_to_stein(self, lu_calls):
         cayley_to_stein(instance("lyapunov"), 1.5)

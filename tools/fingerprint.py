@@ -1,7 +1,9 @@
 """Bit-level fingerprint of every CLI solve and every generated problem file.
 
-Prints one JSON object, one entry per line, keyed by cell.  Run it on two
-checkouts and diff the outputs to see which results a change moved:
+Prints one JSON object, one entry per line, keyed by cell; besides the
+grid it runs `care_sda_solve` on the scalar CARE A = 0, G = Q = 1 at three
+shifts.  Run it on two checkouts and diff the outputs to see which results a
+change moved:
 
     python3 tools/fingerprint.py > after.json
     (cd ../other-checkout && python3 tools/fingerprint.py) > before.json
@@ -25,7 +27,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import numpy as np  # noqa: E402
 
 from riccati import cli  # noqa: E402
-from riccati.care import care_sda_solve, newton_care_solve  # noqa: E402
+from riccati.care import CareProblem, care_sda_solve, newton_care_solve  # noqa: E402
 from riccati.errors import RiccatiError  # noqa: E402
 from riccati.generators import GeneratorSpec, gen_problem  # noqa: E402
 from riccati.io import save_problem, to_problem  # noqa: E402
@@ -36,6 +38,9 @@ SEEDS = (0, 1, 2, 3)
 TOLS = (1e-12, 1e-14, 1e-3)
 CRITICAL_KINDS = ("stein", "dare", "nme")
 CARE_SDA_TAUS = (None, 0.5, 2.0, 1e-6)
+# A = 0, G = Q = 1: H has eigenvalues +-1, so tau = 1 makes the discrete A zero
+SCALAR_CARE = CareProblem(A=[[0.0]], G=[[1.0]], Q=[[1.0]])
+SCALAR_CARE_TAUS = (None, 1.0, 2.0)
 
 
 def _sha(a) -> str:
@@ -101,6 +106,10 @@ def fingerprint(sizes=SIZES, seeds=SEEDS, tols=TOLS, critical_kinds=CRITICAL_KIN
             out[f"newton_care_solve x0=0.1I {cell}"] = _entry(
                 lambda: (newton_care_solve(p, 0.1 * np.eye(n)).report, None)
             )
+    for tau in SCALAR_CARE_TAUS:
+        out[f"care_sda_solve tau={tau} scalar A=0 G=Q=1"] = _entry(
+            lambda: (care_sda_solve(SCALAR_CARE, tau).report, None)
+        )
     return out
 
 
