@@ -1,7 +1,10 @@
-"""Dense complex kernels shared by every solver.
+"""Dense kernels shared by every solver.
 
-All matrices are numpy arrays promoted to complex128.  Everything here is
-pure: no routine mutates its arguments.
+All matrices are float64 or complex128 numpy arrays, and every kernel keeps
+the field it is given: real input gives real output, and numpy and scipy
+promote to complex where real meets complex.  Whether a problem's data is
+real is decided once, by value, in `Coefficients`.  Everything here is pure:
+no routine mutates its arguments.
 """
 
 import warnings
@@ -28,16 +31,20 @@ __all__ = [
 
 
 def as_matrix(a) -> np.ndarray:
-    """Validate and promote `a` to a 2-d complex128 array.
+    """Validate `a` as a 2-d array in its own field: complex input becomes
+    complex128, and bool, integer and float input float64.
 
-    Raises ValueError on non-finite entries or wrong dimensionality.
+    The field follows the dtype alone; entries are not scanned for a zero
+    imaginary part (`Coefficients` does that once per problem).  Raises
+    ValueError on non-finite entries or wrong dimensionality.
     """
-    m = np.asarray(a, dtype=np.complex128)
+    m = np.asarray(a)
+    m = np.asarray(m, dtype=np.complex128 if np.iscomplexobj(m) else np.float64)
     if m.ndim == 0:
         m = m.reshape(1, 1)
     if m.ndim != 2:
         raise ValueError(f"expected a matrix, got array of ndim {m.ndim}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
     return m
 
@@ -59,8 +66,9 @@ def hermitian_part(m) -> np.ndarray:
 
 
 def symmetrize(m) -> np.ndarray:
-    """Unchecked Hermitian part, for re-symmetrizing iteration updates."""
-    m = np.asarray(m, dtype=np.complex128)
+    """Unchecked Hermitian part, for re-symmetrizing iteration updates; it
+    keeps the dtype of M."""
+    m = np.asarray(m)
     return (m + m.conj().T) / 2
 
 
@@ -129,26 +137,33 @@ def psd_check(m, tol: float = 0.0) -> bool:
 class Coefficients:
     """Base of the frozen problem dataclasses: one validation path.
 
-    `__post_init__` makes A a square complex matrix and each coefficient
-    named in `HERMITIAN` its Hermitian part, checked to be positive
-    semidefinite (at 1e-10) and of A's shape; it raises ValueError naming
-    the coefficient that fails.
+    `__post_init__` makes A a square matrix and each coefficient named in
+    `HERMITIAN` its Hermitian part, checked to be positive semidefinite (at
+    1e-10) and of A's shape; it raises ValueError naming the coefficient
+    that fails.  This is where a problem's field is decided: a coefficient
+    whose imaginary part is exactly 0 is stored as float64, so real data
+    read from a complex128 file is solved in real arithmetic.
     """
 
     HERMITIAN: tuple = ()
 
+    def _store(self, name: str, m: np.ndarray) -> np.ndarray:
+        """Set the field `name` to M, as float64 when M's imaginary part is 0."""
+        if np.iscomplexobj(m) and not m.imag.any():
+            m = np.ascontiguousarray(m.real)
+        object.__setattr__(self, name, m)
+        return m
+
     def __post_init__(self):
-        a = as_matrix(self.A)
+        a = self._store("A", as_matrix(self.A))
         if a.shape[0] != a.shape[1]:
             raise ValueError("A must be square")
-        object.__setattr__(self, "A", a)
         for name in self.HERMITIAN:
-            m = hermitian_part(getattr(self, name))
+            m = self._store(name, hermitian_part(getattr(self, name)))
             if m.shape != a.shape:
                 raise ValueError(f"{name} must match the shape of A")
             if not psd_check(m, 1e-10):
                 raise ValueError(f"{name} must be positive semidefinite")
-            object.__setattr__(self, name, m)
 
     @property
     def n(self) -> int:

@@ -35,23 +35,30 @@ class LyapunovProblem(Coefficients):
     def __post_init__(self):
         super().__post_init__()
         if self.C is not None:
-            c = as_matrix(self.C)
+            c = self._store("C", as_matrix(self.C))
             if c.shape[1] != self.n:
                 raise ValueError("C must have as many columns as A")
             gram = c.conj().T @ c
             if np.linalg.norm(gram - self.Q) > 1e-10 * max(1.0, np.linalg.norm(self.Q)):
                 raise ValueError("C^*C does not match Q")
-            object.__setattr__(self, "C", c)
+
+
+def _shift(tau) -> complex:
+    """tau as a float when its imaginary part is 0, else as a complex: a real
+    shift keeps real data in real arithmetic, and a complex one promotes."""
+    tau = complex(tau)
+    return tau.real if tau.imag == 0 else tau
 
 
 @dataclass(frozen=True)
 class ShiftSequence:
-    """Ordered ADI/Cayley shifts, all with positive real part."""
+    """Ordered ADI/Cayley shifts, all with positive real part; a shift with
+    imaginary part 0 is stored as a float."""
 
     shifts: tuple
 
     def __post_init__(self):
-        shifts = tuple(complex(s) for s in self.shifts)
+        shifts = tuple(_shift(s) for s in self.shifts)
         if not shifts:
             raise ValueError("shift sequence must be nonempty")
         if any(s.real <= 0 for s in shifts):
@@ -88,8 +95,9 @@ def cayley_reduce(a, q, tau: complex) -> tuple[np.ndarray, np.ndarray]:
     """Unvalidated Stein coefficients c(A) = (A - conj(tau) I)^{-1} (A + tau I)
     and 2 Re(tau) (A^* - tau I)^{-1} Q (A - conj(tau) I)^{-1} of A^*X + XA + Q = 0,
     from one LU; for Re(tau) > 0 both equations have the same solution set.
+    Both stay real for real A, Q and a tau with imaginary part 0.
     """
-    tau = complex(tau)
+    tau = _shift(tau)
     try:
         lu = lu_factor(_shifted(a, tau))
     except SingularMatrix as exc:

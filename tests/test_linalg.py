@@ -13,12 +13,37 @@ from riccati.linalg import (
     spectral_radius_estimate,
     symmetrize,
 )
+from riccati.stein import SteinProblem
 
 
 class TestAsMatrix:
-    def test_promotes_to_complex(self):
-        m = as_matrix([[1, 2], [3, 4]])
-        assert m.dtype == np.complex128
+    @pytest.mark.parametrize(
+        "data, dtype",
+        [
+            ([[1, 2], [3, 4]], np.float64),
+            ([[True, False], [False, True]], np.float64),
+            (np.eye(2, dtype=np.float32), np.float64),
+            ([[1.5, 2.0], [3.0, 4.0]], np.float64),
+            ([[1 + 2j, 0], [0, 1]], np.complex128),
+            (np.eye(2, dtype=np.complex64), np.complex128),
+            # the field follows the dtype: no scan for a zero imaginary part
+            (np.eye(2, dtype=np.complex128), np.complex128),
+        ],
+        ids=["int", "bool", "float32", "float", "complex", "complex64", "complex-zero-imag"],
+    )
+    def test_keeps_the_field(self, data, dtype):
+        assert as_matrix(data).dtype == dtype
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_symmetrize_keeps_the_dtype(self, dtype):
+        m = np.array([[1.0, 2.0], [0.0, 3.0]], dtype=dtype)
+        assert symmetrize(m).dtype == dtype
+
+    def test_coefficients_store_zero_imaginary_part_as_real(self):
+        p = SteinProblem(A=0.5 * np.eye(2, dtype=np.complex128), Q=np.eye(2) + 0j)
+        assert p.A.dtype == np.float64 and p.Q.dtype == np.float64
+        q = SteinProblem(A=0.5j * np.eye(2), Q=np.eye(2) + 0j)
+        assert q.A.dtype == np.complex128 and q.Q.dtype == np.float64
 
     def test_rejects_nan(self):
         with pytest.raises(ValueError):

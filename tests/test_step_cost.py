@@ -24,7 +24,7 @@ from riccati import (
     smith_solve,
     stein_residual,
 )
-from riccati import dare, linalg, lyapunov, stein
+from riccati import cli, dare, linalg, lyapunov, stein
 from riccati.dare import dare_step, sda_step
 from riccati.generators import GeneratorSpec, gen_problem
 from riccati.io import to_problem
@@ -124,6 +124,17 @@ class TestOneReductionPerShift:
         report = adi_solve(instance("lyapunov"), ShiftSequence(shifts))
         assert report.converged and report.iterations > 2 * len(shifts)
         assert len(calls) == reductions
+
+
+class TestOneFinalResidual:
+    def test_lr_adi(self, monkeypatch):
+        """`solve --method lr-adi` evaluates the residual of its Gramian once,
+        for both its converged flag and the printed residual."""
+        calls = counting(monkeypatch, cli, "lyap_residual")
+        pf = gen_problem(GeneratorSpec(kind="lyapunov", n=32, seed=0))
+        report, final = cli._solve_dispatch(pf, "lr-adi", SolveOptions(tol=1e-12), None)
+        assert report.converged and final <= 1e-12
+        assert len(calls) == 1
 
 
 class TestOneEvaluationPerIterate:

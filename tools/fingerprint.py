@@ -10,9 +10,10 @@ change moved:
     diff before.json after.json
 
 Each solve entry holds the iteration count, the converged flag, SHA-256
-digests of X and of the residual history, the rate estimate, the
-closed-loop radius and the final residual as `riccati solve` prints it.  A
-solve that raises records its error instead.  The script imports riccati
+digests of X and of the residual history (both hashed by value, as
+complex128), the rate estimate, the closed-loop radius and the final
+residual as `riccati solve` prints it.  A solve that raises records its
+error instead.  The script imports riccati
 from the `src/` next to it, so each checkout fingerprints its own code.
 """
 
@@ -44,7 +45,9 @@ SCALAR_CARE_TAUS = (None, 1.0, 2.0)
 
 
 def _sha(a) -> str:
-    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+    # hashed as complex128, so an array moves only when a value does, not
+    # when its dtype does (real data is solved as float64)
+    return hashlib.sha256(np.ascontiguousarray(a, dtype=np.complex128).tobytes()).hexdigest()
 
 
 def _number(v):
