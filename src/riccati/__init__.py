@@ -21,7 +21,6 @@ from .dare import (
     DareProblem,
     DareSolution,
     DoublingState,
-    bmf_factorize,
     build_symplectic,
     closed_loop_radius,
     dare_fixed_point_solve,
@@ -31,7 +30,6 @@ from .dare import (
 )
 from .errors import (
     InnerSolveFailed,
-    InvalidInterval,
     InvalidSpec,
     OverflowGuard,
     ParseError,
@@ -53,7 +51,6 @@ from .lyapunov import (
     cayley_to_stein,
     lr_adi_solve,
     lyap_residual,
-    wachspress_single_shift,
 )
 from .nme import (
     CrState,

@@ -32,7 +32,6 @@ __all__ = [
     "dare_step",
     "dare_fixed_point_solve",
     "sda_solve",
-    "bmf_factorize",
     "dare_residual",
     "wiener_hopf_check",
     "build_symplectic",
@@ -91,7 +90,7 @@ def dare_residual(x, problem: DareProblem) -> float:
 
 def closed_loop_radius(x, problem: DareProblem) -> float:
     """Spectral-radius estimate of the closed loop (I + G X)^{-1} A, after
-    30 squarings."""
+    30 squarings.  A diagnostic computed on demand: no solver calls it."""
     eye = np.eye(problem.n)
     k = solve_linear(eye + problem.G @ as_matrix(x), problem.A)
     return spectral_radius_estimate(k, 30)
@@ -107,7 +106,6 @@ def dare_fixed_point_solve(
         lambda x: (dare_step(x, problem), _dare_scale(x, problem)),
         opts,
     )
-    report.closed_loop_radius = closed_loop_radius(report.X, problem)
     return DareSolution(X_plus=report.X, Y_plus=None, report=report)
 
 
@@ -144,22 +142,7 @@ def sda_solve(problem: DareProblem, opts: SolveOptions = SolveOptions(), residua
         opts,
         lambda s: float(np.linalg.norm(s.Qk)),
     )
-    report.closed_loop_radius = closed_loop_radius(state.Qk, problem)
     return DareSolution(X_plus=state.Qk, Y_plus=state.Gk, report=report)
-
-
-def bmf_factorize(m1, m2, n1, n2):
-    """Blocks (A11, A12, A21, A22) of the one-inversion factorization
-    [M1 M2]^{-1} [N1 N2] = [A11 0; A21 I]^{-1} [I A12; 0 A22].
-
-    The blocks are read off [N1 M2]^{-1} [M1 N2]; existence is equivalent to
-    [N1 M2] being invertible.
-    """
-    m1, m2 = as_matrix(m1), as_matrix(m2)
-    n1, n2 = as_matrix(n1), as_matrix(n2)
-    n = m1.shape[1]
-    blocks = solve_linear(np.hstack([n1, m2]), np.hstack([m1, n2]))
-    return blocks[:n, :n], blocks[:n, n:], blocks[n:, :n], blocks[n:, n:]
 
 
 def build_symplectic(a, g, q) -> np.ndarray:

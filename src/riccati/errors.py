@@ -17,10 +17,6 @@ class StructureLoss(RiccatiError):
     """A transformation destroyed positive semidefiniteness beyond tolerance."""
 
 
-class InvalidInterval(RiccatiError):
-    """A spectrum interval [a, b] with 0 < a <= b was expected."""
-
-
 class RankMismatch(RiccatiError):
     """The numerical rank of a null-space computation is not the expected n."""
 

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInterval, SingularMatrix, SingularShift
+from .errors import SingularMatrix, SingularShift
 from .linalg import LU, Coefficients, as_matrix, lu_factor, symmetrize
 from .reporting import DEFAULT_BASIC_MAX_ITER, SolveOptions, SolveReport, iterate
 from .stein import SteinProblem, smith_step
@@ -18,7 +18,6 @@ __all__ = [
     "cayley_to_stein",
     "adi_solve",
     "lr_adi_solve",
-    "wachspress_single_shift",
     "lyap_residual",
 ]
 
@@ -201,11 +200,3 @@ def lr_adi_solve(
     except SingularMatrix as exc:
         raise SingularShift("an ADI shift coincides with an eigenvalue of A") from exc
     return LowRankFactor(Z=np.hstack(blocks), block_width=problem.C.shape[0])
-
-
-def wachspress_single_shift(a: float, b: float) -> float:
-    """Optimal single repeated shift sqrt(ab) for Hermitian negative definite
-    A with the spectrum of -A contained in [a, b]."""
-    if a <= 0 or a > b:
-        raise InvalidInterval(f"need 0 < a <= b, got [{a}, {b}]")
-    return math.sqrt(a * b)

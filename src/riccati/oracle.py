@@ -39,8 +39,6 @@ __all__ = [
     "sda_factorization_check",
     "sign_relation_check",
     "tridiag_schur_oracle",
-    "symplectic_from_dare",
-    "symplectic_from_nme",
     "symplectic_pairing_defect",
     "hamiltonian_pairing_defect",
     "eigenvalues",
@@ -62,11 +60,6 @@ class SymplecticPair:
             raise ValueError("matrix is not symplectic within tolerance")
         object.__setattr__(self, "S", s)
         object.__setattr__(self, "J", j)
-
-
-def _structure_j(n: int) -> np.ndarray:
-    eye, zero = np.eye(n), np.zeros((n, n))
-    return np.block([[zero, eye], [-eye, zero]])
 
 
 def size_cap(default: int) -> int:
@@ -214,23 +207,6 @@ def tridiag_schur_oracle(problem: NmeProblem, m: int) -> CrState:
     u1 = symmetrize(reduced[:n, :n])
     q1 = symmetrize(reduced[-n:, -n:])
     return CrState(Ak=a1, Qk=q1, Uk=u1, k=1)
-
-
-def symplectic_from_dare(problem: DareProblem) -> SymplecticPair:
-    s = build_symplectic(problem.A, problem.G, problem.Q)
-    return SymplecticPair(S=s, J=_structure_j(problem.n))
-
-
-def symplectic_from_nme(problem: NmeProblem, g=None) -> SymplecticPair:
-    """Symplectic matrix [G -I; A^* 0]^{-1} [A 0; -Q I] (G = 0 for the plain
-    nonlinear matrix equation)."""
-    a, q = problem.A, problem.Q
-    n = problem.n
-    eye, zero = np.eye(n), np.zeros((n, n))
-    g = zero if g is None else as_matrix(g)
-    left = np.block([[g, -eye], [a.conj().T, zero]])
-    right = np.block([[a, zero], [-q, eye]])
-    return SymplecticPair(S=solve_linear(left, right), J=_structure_j(n))
 
 
 def _pairing_defect(eigs: np.ndarray, mapped: np.ndarray) -> float:

@@ -47,6 +47,8 @@ class SolveReport:
     successive iterate-update-norm ratios over the last five recorded steps;
     update norms rather than residuals make the estimate meaningful also in
     critical cases where the residual shrinks quadratically in the error.
+    Diagnostics that no caller of a solve reads, such as the DARE closed-loop
+    radius, are not computed here; `dare.closed_loop_radius` gives it on demand.
     """
 
     X: np.ndarray
@@ -54,7 +56,6 @@ class SolveReport:
     iterations: int
     residual_history: list[float] = field(default_factory=list)
     rate_estimate: float = 0.0
-    closed_loop_radius: float | None = None
     elapsed_ns: list[int] = field(default_factory=list)
 
 

@@ -5,7 +5,6 @@ from riccati import (
     DareProblem,
     DareSolution,
     SolveOptions,
-    bmf_factorize,
     build_symplectic,
     dare_fixed_point_solve,
     dare_residual,
@@ -13,7 +12,6 @@ from riccati import (
     wiener_hopf_check,
 )
 from riccati.dare import DoublingState, closed_loop_radius, dare_step, sda_step
-from riccati.errors import SingularMatrix
 from riccati.generators import GeneratorSpec, gen_problem
 from riccati.io import to_problem
 from riccati.linalg import psd_check
@@ -107,14 +105,14 @@ class TestSdaSolve:
         for seed in (1, 2, 3):
             p = random_instance(seed, 5)
             sol = sda_solve(p)
-            assert sol.report.closed_loop_radius < 1.0
+            assert closed_loop_radius(sol.X_plus, p) < 1.0
             assert psd_check(sol.X_plus, 1e-10) and psd_check(sol.Y_plus, 1e-10)
 
     def test_critical_instance_touches_boundary(self):
         p = to_problem(gen_problem(GeneratorSpec(kind="dare", n=4, seed=5, critical=True)))
         sol = sda_solve(p, SolveOptions(tol=1e-10))
         assert sol.report.converged
-        assert abs(sol.report.closed_loop_radius - 1.0) <= 1e-6
+        assert abs(closed_loop_radius(sol.X_plus, p) - 1.0) <= 1e-6
 
     def test_matches_subspace_oracle(self):
         for seed in (21, 22, 23):
@@ -122,33 +120,6 @@ class TestSdaSolve:
             sol = sda_solve(p)
             x = invariant_subspace_solve(build_symplectic(p.A, p.G, p.Q), "inside_unit_circle")
             assert np.linalg.norm(sol.X_plus - x) <= 1e-8 * np.linalg.norm(x)
-
-
-class TestBmfFactorize:
-    def test_identity_blocks(self):
-        big = np.eye(4)
-        m1, m2 = big[:, :2], big[:, 2:]
-        a11, a12, a21, a22 = bmf_factorize(m1, m2, m1, m2)
-        assert np.allclose(a11, np.eye(2)) and np.allclose(a22, np.eye(2))
-        assert np.allclose(a12, 0.0) and np.allclose(a21, 0.0)
-
-    def test_singular_pivot_block(self):
-        zero = np.zeros((4, 2))
-        eye_cols = np.eye(4)[:, :2]
-        with pytest.raises(SingularMatrix):
-            bmf_factorize(eye_cols, zero, zero, eye_cols)
-
-    def test_reconstruction_identity(self):
-        # [M1 M2]^{-1}[N1 N2] = [A11 0; A21 I]^{-1}[I A12; 0 A22]
-        rng = np.random.default_rng(7)
-        m1, m2, n1, n2 = (rng.standard_normal((2, 1)) for _ in range(4))
-        a11, a12, a21, a22 = bmf_factorize(m1, m2, n1, n2)
-        eye, zero = np.eye(1), np.zeros((1, 1))
-        lhs = np.linalg.solve(np.hstack([m1, m2]), np.hstack([n1, n2]))
-        rhs = np.linalg.solve(
-            np.block([[a11, zero], [a21, eye]]), np.block([[eye, a12], [zero, a22]])
-        )
-        assert np.linalg.norm(lhs - rhs) <= 1e-12 * max(1.0, np.linalg.norm(lhs))
 
 
 class TestDareResidual:

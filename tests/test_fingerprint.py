@@ -6,6 +6,9 @@ from pathlib import Path
 from riccati.cli import SOLVERS
 
 SCRIPT = Path(__file__).resolve().parent.parent / "tools" / "fingerprint.py"
+# the keys of a solve entry made by a library call; a CLI cell adds the
+# printed final residual.  Pinned exactly, so an added or dropped key shows.
+LIBRARY_KEYS = {"iterations", "converged", "X", "history", "rate_estimate"}
 
 
 def load_script():
@@ -23,7 +26,8 @@ def test_every_cli_cell_has_an_entry():
         assert f"file {kind} n=1 seed=0" in entries
         for method in methods:
             entry = entries[f"solve {kind} {method} n=1 seed=0 tol=1e-12"]
-            assert "error" in entry or {"iterations", "converged", "X", "history"} <= set(entry)
-    assert "newton_care_solve x0=0.1I n=1 seed=0" in entries
+            assert set(entry) in ({"error"}, LIBRARY_KEYS | {"final_residual"})
+    assert set(entries["newton_care_solve x0=0.1I n=1 seed=0"]) == LIBRARY_KEYS
     scalar = entries["care_sda_solve tau=1.0 scalar A=0 G=Q=1"]
+    assert set(scalar) == LIBRARY_KEYS
     assert scalar["converged"] and scalar["iterations"] == 0

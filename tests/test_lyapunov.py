@@ -9,9 +9,8 @@ from riccati import (
     cayley_to_stein,
     lr_adi_solve,
     lyap_residual,
-    wachspress_single_shift,
 )
-from riccati.errors import InvalidInterval, SingularShift
+from riccati.errors import SingularShift
 from riccati.linalg import psd_check
 from riccati.oracle import kron_lyap_solve
 from riccati.stein import smith_step
@@ -80,7 +79,8 @@ class TestAdiSolve:
         a = hermitian_negdef(rng, 6, 1.0, 9.0)
         q, _ = random_psd(rng, 6)
         p = LyapunovProblem(A=a, Q=q)
-        report = adi_solve(p, ShiftSequence((wachspress_single_shift(1.0, 9.0),)))
+        # sqrt(ab), the optimal single shift for [a, b] = [1, 9]
+        report = adi_solve(p, ShiftSequence((3.0,)))
         x = kron_lyap_solve(p)
         assert np.linalg.norm(report.X - x) <= 1e-7 * np.linalg.norm(x)
 
@@ -154,7 +154,7 @@ class TestLrAdiSolve:
         a = hermitian_negdef(rng, 8, 1.0, 100.0)
         q, c = random_psd(rng, 8, p=1)
         p = LyapunovProblem(A=a, Q=q, C=c)
-        tau = wachspress_single_shift(1.0, 100.0)
+        tau = 10.0  # sqrt(ab), the optimal single shift for [a, b] = [1, 100]
         residuals = []
         for k in range(1, 8):
             z = lr_adi_solve(p, ShiftSequence((tau,)), k)
@@ -172,20 +172,6 @@ class TestLrAdiSolve:
             g = lr_adi_solve(p, ShiftSequence((3.0,)), k).gramian()
             assert psd_check(g - prev, 1e-12)
             prev = g
-
-
-class TestWachspress:
-    def test_single_point(self):
-        assert wachspress_single_shift(1.0, 1.0) == pytest.approx(1.0)
-
-    def test_formula(self):
-        assert wachspress_single_shift(1.0, 100.0) == pytest.approx(10.0)
-
-    def test_invalid_interval(self):
-        with pytest.raises(InvalidInterval):
-            wachspress_single_shift(-1.0, 2.0)
-        with pytest.raises(InvalidInterval):
-            wachspress_single_shift(3.0, 2.0)
 
 
 class TestLyapResidual:

@@ -1,5 +1,9 @@
-"""An error type or a linalg wrapper cannot outlive its last caller: each is
-used by the package itself, not only by its tests."""
+"""A name cannot outlive its last caller.  Every error class is raised by the
+package itself, and every public top-level function and class, and every
+`__all__` entry, of every riccati module is read outside its own definition
+and outside the re-exports of `riccati/__init__.py`: in the package, in
+`demos/`, in `tools/` or in the acceptance tests (the invariants), not only
+in other tests."""
 
 import ast
 import inspect
@@ -8,21 +12,21 @@ from pathlib import Path
 import pytest
 
 import riccati
-from riccati import errors, linalg
+from riccati import errors
 
-TREES = {path.stem: ast.parse(path.read_text()) for path in Path(riccati.__file__).parent.glob("*.py")}
-
-
-def _linalg_names_read(node) -> set:
-    """Names read in node, bare or as `linalg.name`; an attribute of any
-    other object (such as the property `lu.min_pivot`) is not counted."""
-    names = set()
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
-            names.add(sub.id)
-        elif isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name) and sub.value.id == "linalg":
-            names.add(sub.attr)
-    return names
+PACKAGE = Path(riccati.__file__).parent
+REPO = Path(__file__).resolve().parent.parent
+TREES = {path.stem: ast.parse(path.read_text()) for path in PACKAGE.glob("*.py") if path.stem != "__init__"}
+READERS = {
+    path: ast.parse(path.read_text())
+    for path in [
+        *PACKAGE.glob("*.py"),
+        *(REPO / "demos").glob("*.py"),
+        *(REPO / "tools").glob("*.py"),
+        REPO / "tests" / "test_acceptance.py",
+    ]
+    if path.name != "__init__.py"
+}
 
 
 def _raised_names() -> set:
@@ -49,12 +53,63 @@ def test_error_class_is_raised(name):
     assert name in raised or subclasses & raised, f"no module of riccati raises {name}"
 
 
-@pytest.mark.parametrize("name", linalg.__all__)
-def test_linalg_name_is_used(name):
-    used = False
-    for module, tree in TREES.items():
+def _public_names(tree) -> set:
+    names = {
+        node.name
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    }
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            names |= {elt.value for elt in node.value.elts}
+    return names
+
+
+PUBLIC = {module: sorted(_public_names(tree)) for module, tree in TREES.items()}
+
+
+def _imported_from_riccati(tree) -> dict:
+    """{local name: original name} of every `from riccati... import` and
+    relative import in tree."""
+    aliases = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "riccati"):
+            aliases.update({alias.asname or alias.name: alias.name for alias in node.names})
+    return aliases
+
+
+def _names_read(node, aliases: dict) -> set:
+    """Names node reads: a bare name in `aliases` (mapped to its original), or
+    `module.name` for a riccati module (an attribute of any other object,
+    such as a method, is not counted)."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load) and sub.id in aliases:
+            names.add(aliases[sub.id])
+        elif isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name) and sub.value.id in TREES:
+            names.add(sub.attr)
+    return names
+
+
+def _is_read(module: str, name: str) -> bool:
+    for path, tree in READERS.items():
+        own_module = path.parent == PACKAGE and path.stem == module
+        aliases = _imported_from_riccati(tree) | ({name: name} if own_module else {})
         for node in tree.body:
-            own = module == "linalg" and getattr(node, "name", None) == name
-            if not own and not isinstance(node, ast.ImportFrom) and name in _linalg_names_read(node):
-                used = True
-    assert used, f"linalg.{name} is used nowhere in riccati outside its definition"
+            own = own_module and getattr(node, "name", None) == name
+            if not own and name in _names_read(node, aliases):
+                return True
+    return False
+
+
+@pytest.mark.parametrize("name", PUBLIC["linalg"])
+def test_linalg_name_is_used(name):
+    assert _is_read("linalg", name), f"linalg.{name} is read nowhere outside its definition but in tests"
+
+
+OTHERS = [(module, name) for module, names in sorted(PUBLIC.items()) if module != "linalg" for name in names]
+
+
+@pytest.mark.parametrize("module, name", OTHERS, ids=[f"{m}.{n}" for m, n in OTHERS])
+def test_public_name_is_read(module, name):
+    assert _is_read(module, name), f"{module}.{name} is read nowhere outside its definition but in tests"

@@ -23,9 +23,6 @@ from riccati.oracle import (
     kron_stein_solve,
     sda_factorization_check,
     sign_relation_check,
-    symplectic_from_dare,
-    symplectic_from_nme,
-    symplectic_pairing_defect,
     tridiag_schur_oracle,
 )
 
@@ -162,19 +159,9 @@ class TestTridiagSchur:
 
 
 class TestStructure:
-    def test_symplectic_pair_validates(self):
-        p = to_problem(gen_problem(GeneratorSpec(kind="dare", n=3, seed=12)))
-        pair = symplectic_from_dare(p)
-        assert symplectic_pairing_defect(pair.S) <= 1e-6
-
     def test_symplectic_pair_rejects_non_symplectic(self):
         with pytest.raises(ValueError):
             SymplecticPair(S=np.diag([2.0, 2.0]), J=np.array([[0.0, 1.0], [-1.0, 0.0]]))
-
-    def test_nme_symplectic(self):
-        p = to_problem(gen_problem(GeneratorSpec(kind="nme", n=2, seed=13)))
-        pair = symplectic_from_nme(p)
-        assert symplectic_pairing_defect(pair.S) <= 1e-6
 
     def test_hamiltonian_pairing(self):
         p = to_problem(gen_problem(GeneratorSpec(kind="care", n=4, seed=14)))

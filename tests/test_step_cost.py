@@ -13,6 +13,7 @@ from riccati import (
     SignOptions,
     SolveOptions,
     adi_solve,
+    care_sda_solve,
     care_to_dare,
     cayley_to_stein,
     dare_fixed_point_solve,
@@ -20,6 +21,7 @@ from riccati import (
     newton_care_solve,
     nme_fixed_point_solve,
     nme_residual,
+    sda_solve,
     sign_solve,
     smith_solve,
     stein_residual,
@@ -114,6 +116,21 @@ class TestNewtonBuildsNoProblems:
         calls = counting_everywhere(monkeypatch, "psd_check")
         sol = newton_care_solve(p, np.zeros((16, 16)))
         assert sol.report.converged
+        assert calls == []
+
+
+class TestNoUnreadDiagnostics:
+    @pytest.mark.parametrize(
+        "kind, solve",
+        [("dare", sda_solve), ("care", care_sda_solve), ("dare", dare_fixed_point_solve)],
+        ids=["sda", "care-sda", "dare-fixed-point"],
+    )
+    def test_no_spectral_radius_estimate(self, monkeypatch, kind, solve):
+        # the closed-loop radius is a diagnostic computed on demand
+        # (dare.closed_loop_radius); no solve pays its 30 squarings
+        p = instance(kind)  # the generator scales A by the estimate
+        calls = counting_everywhere(monkeypatch, "spectral_radius_estimate")
+        assert solve(p).report.converged
         assert calls == []
 
 

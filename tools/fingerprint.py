@@ -11,9 +11,9 @@ change moved:
 
 Each solve entry holds the iteration count, the converged flag, SHA-256
 digests of X and of the residual history (both hashed by value, as
-complex128), the rate estimate, the closed-loop radius and the final
-residual as `riccati solve` prints it.  A solve that raises records its
-error instead.  The script imports riccati
+complex128), the rate estimate and the final residual as `riccati solve`
+prints it.  No solve computes the closed-loop radius, so no entry holds it.
+A solve that raises records its error instead.  The script imports riccati
 from the `src/` next to it, so each checkout fingerprints its own code.
 """
 
@@ -50,10 +50,6 @@ def _sha(a) -> str:
     return hashlib.sha256(np.ascontiguousarray(a, dtype=np.complex128).tobytes()).hexdigest()
 
 
-def _number(v):
-    return None if v is None else repr(float(v))
-
-
 def _entry(run) -> dict:
     """run() -> (report, final residual or None) as a JSON-ready entry."""
     try:
@@ -65,8 +61,7 @@ def _entry(run) -> dict:
         "converged": bool(report.converged),
         "X": _sha(report.X),
         "history": _sha(np.asarray(report.residual_history, dtype=float)),
-        "rate_estimate": _number(report.rate_estimate),
-        "closed_loop_radius": _number(report.closed_loop_radius),
+        "rate_estimate": repr(float(report.rate_estimate)),
     }
     if final is not None:
         entry["final_residual"] = f"{final:.6e}"
