@@ -7,8 +7,6 @@ spectral factorization of the quadratic matrix polynomial
 A + Q z + A* z^2 through the companion unilateral equation.
 """
 
-import numpy as np
-
 from riccati import (
     NmeProblem,
     SolveOptions,

@@ -9,6 +9,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .dare import DareProblem, DareSolution, sda_solve
 from .errors import (
@@ -24,7 +25,6 @@ from .linalg import (
     as_matrix,
     lu_factor,
     solve_linear,
-    solve_right,
     symmetrize,
 )
 from .lyapunov import cayley_reduce
@@ -199,10 +199,15 @@ def sign_solve(problem: CareProblem, opts: SolveOptions = SignOptions()) -> Dare
 
 
 def sign_extract(h_inf) -> np.ndarray:
-    """Read the stabilizing solution off a converged sign iterate.
+    """Read the stabilizing solution off a converged sign iterate W.
 
-    Takes the n smallest singular directions of H_inf + I as an orthonormal
-    null-space basis [U1; U2] and returns U2 U1^{-1}.
+    The null space of W + I is the stable subspace [I; X], so
+    [W12; W22 + I] X = -[W11 + I; W21]: a consistent 2n x n least-squares
+    problem, solved by one Householder QR of its left-hand side.  A
+    least-squares defect above 1e-8 max(||W + I||_F, 1) means W + I has no
+    null space of dimension n and raises RankMismatch; a triangular factor R
+    with an estimated condition number above 1e8 (R is ill conditioned
+    exactly when the top block of a null-space basis is) raises SingularU1.
     """
     h_inf = as_matrix(h_inf)
     size = h_inf.shape[0]
@@ -210,17 +215,24 @@ def sign_extract(h_inf) -> np.ndarray:
         raise ValueError("sign iterate must be 2n x 2n")
     n = size // 2
     shifted = h_inf + np.eye(size)
-    _, s, vh = np.linalg.svd(shifted)
-    rank_tol = 1e-8 * max(float(s[0]) if s.size else 0.0, 1.0)
-    rank = int(np.sum(s > rank_tol))
-    if rank != n:
-        raise RankMismatch(f"null space of H_inf + I has dimension {size - rank}, expected {n}")
-    basis = vh[rank:, :].conj().T  # orthonormal kernel basis, 2n x n
-    u1, u2 = basis[:n, :], basis[n:, :]
-    sv = np.linalg.svd(u1, compute_uv=False)
-    if sv[-1] == 0.0 or sv[0] / sv[-1] > 1e8:
+    left, right = shifted[:, n:], -shifted[:, :n]
+    geqrf, ormqr, trcon = scipy.linalg.lapack.get_lapack_funcs(("geqrf", "ormqr", "trcon"), (left,))
+    # Householder QR, and Q^* applied to the right-hand side by its
+    # reflectors; lwork leaves room for LAPACK's blocked kernels
+    lwork = 64 * n
+    qr, tau, _, _ = geqrf(left, lwork=lwork)
+    c, _, _ = ormqr("L", "C" if np.iscomplexobj(qr) else "T", qr, tau, right, lwork=lwork)
+    # the least-squares residual is the part of Q^* right below R
+    defect = float(np.linalg.norm(c[n:]))
+    if defect > 1e-8 * max(float(np.linalg.norm(shifted)), 1.0):
+        raise RankMismatch(
+            f"null space of H_inf + I has dimension below {n}: least-squares defect {defect:.3g}"
+        )
+    r = qr[:n]  # R is its upper triangle
+    rcond, _ = trcon(r, norm="1", uplo="U")
+    if not rcond >= 1e-8:
         raise SingularU1("top block of the null-space basis is ill conditioned")
-    return symmetrize(solve_right(u2, u1))
+    return symmetrize(scipy.linalg.solve_triangular(r, c[:n], check_finite=False))
 
 
 def _kleinman_lyap_solve(closed_loop, rhs) -> np.ndarray:

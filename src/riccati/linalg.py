@@ -22,6 +22,8 @@ __all__ = [
     "symmetrize",
     "LU",
     "lu_factor",
+    "Cholesky",
+    "cholesky_factor",
     "solve_linear",
     "solve_right",
     "psd_check",
@@ -111,6 +113,49 @@ def lu_factor(m) -> LU:
     if lu.min_pivot < PIVOT_RTOL * max(1.0, float(np.linalg.norm(m))):
         raise SingularMatrix("pivot below singularity threshold")
     return lu
+
+
+class Cholesky:
+    """Cholesky factorization M = R^* R of a Hermitian positive definite M,
+    R upper triangular, checked like `LU`.
+
+    `pivots` holds r_ii^2, the pivots Gaussian elimination without pivoting
+    would meet, so `min_pivot` means what it means for `lu_factor`.
+    `half_solve(b)` returns R^{-*} B, one triangular solve: with
+    Y = R^{-*} B, B^* M^{-1} B = Y^* Y.
+    """
+
+    def __init__(self, r):
+        self._r = r
+        self.pivots = np.diag(r).real ** 2
+
+    @property
+    def min_pivot(self) -> float:
+        return float(np.min(self.pivots))
+
+    def half_solve(self, b) -> np.ndarray:
+        trsm = scipy.linalg.blas.get_blas_funcs("trsm", (self._r, b))
+        return trsm(1.0, self._r, b, trans_a=2)
+
+
+def cholesky_factor(m) -> Cholesky:
+    """Factor Hermitian M as R^* R (LAPACK potrf), reading its upper triangle.
+
+    Raises SingularMatrix when M is not square, is not positive definite
+    (potrf fails), or a pivot r_ii^2 falls below the `lu_factor` threshold
+    1e-14 * max(1, ||M||_F).
+    """
+    m = as_matrix(m)
+    if m.shape[0] != m.shape[1]:
+        raise SingularMatrix("coefficient matrix must be square")
+    potrf = scipy.linalg.lapack.get_lapack_funcs("potrf", (m,))
+    r, info = potrf(m, lower=0, clean=0)
+    if info != 0:
+        raise SingularMatrix("matrix is not positive definite")
+    chol = Cholesky(r)
+    if chol.min_pivot < PIVOT_RTOL * max(1.0, float(np.linalg.norm(m))):
+        raise SingularMatrix("pivot below singularity threshold")
+    return chol
 
 
 def solve_linear(m, b) -> np.ndarray:

@@ -9,8 +9,8 @@ from .errors import SingularMatrix
 from .linalg import (
     Coefficients,
     as_matrix,
+    cholesky_factor,
     hermitian_part,
-    lu_factor,
     solve_linear,
     spectral_radius_estimate,
     symmetrize,
@@ -47,7 +47,7 @@ class NmeProblem(Coefficients):
     def __post_init__(self):
         super().__post_init__()
         try:
-            definite = lu_factor(self.Q).min_pivot >= 1e-12 * np.linalg.norm(self.Q)
+            definite = cholesky_factor(self.Q).min_pivot >= 1e-12 * np.linalg.norm(self.Q)
         except SingularMatrix:
             definite = False
         if not definite:
@@ -94,15 +94,22 @@ class SpectralFactorization:
 
 def _nme_map(x, problem: NmeProblem):
     """(Q - A^* X^{-1} A re-symmetrized, residual scale of X) from one
-    factorization of X.
+    Cholesky factorization X = R^* R: with Y = R^{-*} A, A^* X^{-1} A = Y^* Y.
 
     The scale term ||A||^2 ||X^{-1}|| is approximated through the smallest
-    pivot of that factorization.
+    pivot r_ii^2 of that factorization.  An X that is not positive definite
+    raises SingularMatrix: every iterate from Q stays above the maximal
+    solution, so an indefinite one proves that no positive definite solution
+    exists.
     """
     a, q = problem.A, problem.Q
-    lu = lu_factor(x)
-    x_next = symmetrize(q - a.conj().T @ lu.solve(a))
-    inv_proxy = 1.0 / lu.min_pivot
+    try:
+        chol = cholesky_factor(x)
+    except SingularMatrix:
+        raise SingularMatrix("NME iterate X is not positive definite") from None
+    y = chol.half_solve(a)
+    x_next = symmetrize(q - y.conj().T @ y)
+    inv_proxy = 1.0 / chol.min_pivot
     return x_next, float(np.linalg.norm(q) + np.linalg.norm(x) + np.linalg.norm(a) ** 2 * inv_proxy)
 
 
@@ -115,7 +122,8 @@ def nme_residual(x, problem: NmeProblem) -> float:
     """Relative residual of X + A^*X^{-1}A = Q.
 
     The denominator term ||A||^2 ||X^{-1}|| is approximated through the
-    smallest pivot of the factorization of X.
+    smallest pivot of the Cholesky factorization of X; an X that is not
+    positive definite raises SingularMatrix.
     """
     x = as_matrix(x)
     return relative_residual(x, *_nme_map(x, problem))
@@ -126,25 +134,34 @@ def nme_fixed_point_solve(
 ) -> SolveReport:
     """Iterate X_{k+1} = Q - A^* X_k^{-1} A from X_1 = Q (zero cannot start
     this iteration); the iterates decrease monotonically to the maximal
-    solution.  Critical spectra surface as sublinear rate_estimate -> 1."""
+    solution.  Critical spectra surface as sublinear rate_estimate -> 1.  An
+    iterate that is not positive definite raises SingularMatrix: the
+    equation then has no positive definite solution."""
     return iterate_map(problem.Q.copy(), lambda x: _nme_map(x, problem), opts, first_iteration=1)
 
 
 def cr_step(state: CrState) -> CrState:
-    """One cyclic-reduction step (one odd-even block elimination)."""
+    """One cyclic-reduction step (one odd-even block elimination).
+
+    U_k stays Hermitian positive definite while a positive definite solution
+    exists, so it is factored U_k = R^* R, and one triangular solve of
+    [A_k, A_k^*] gives Y = R^{-*} A_k and Z = R^{-*} A_k^*.  Then
+    A_{k+1} = -Z^* Y, Q_{k+1} = Q_k - Y^* Y and U_{k+1} = U_k - Y^* Y - Z^* Z.
+    """
     ak, qk, uk = state.Ak, state.Qk, state.Uk
     n = ak.shape[0]
     try:
-        lu = lu_factor(uk)
+        chol = cholesky_factor(uk)
     except SingularMatrix:
-        raise SingularMatrix("cyclic-reduction pivot block U_k is singular") from None
-    both = lu.solve(np.hstack([ak, ak.conj().T]))
-    f, ft = both[:, :n], both[:, n:]
-    a_next = -ak @ f
-    ah_f = ak.conj().T @ f
-    q_next = symmetrize(qk - ah_f)
-    u_next = symmetrize(uk - ah_f - ak @ ft)
-    return CrState(Ak=a_next, Qk=q_next, Uk=u_next, k=state.k + 1)
+        raise SingularMatrix(
+            "cyclic-reduction pivot block U_k is singular or not positive definite"
+        ) from None
+    both = chol.half_solve(np.hstack([ak, ak.conj().T]))
+    y, z = both[:, :n], both[:, n:]
+    yy = y.conj().T @ y
+    q_next = symmetrize(qk - yy)
+    u_next = symmetrize(uk - yy - z.conj().T @ z)
+    return CrState(Ak=-(z.conj().T @ y), Qk=q_next, Uk=u_next, k=state.k + 1)
 
 
 def cyclic_reduction_solve(
@@ -153,7 +170,9 @@ def cyclic_reduction_solve(
     """Doubling variant of the fixed point: Q_k equals the 2^k-th iterate.
 
     In the critical case (unit-circle roots of the Laurent polynomial) the
-    error halves each step; rate_estimate reports it."""
+    error halves each step; rate_estimate reports it.  A Q_k or U_k that is
+    not positive definite raises SingularMatrix: the equation then has no
+    positive definite solution."""
     # unlike SDA, the floor scales with ||Q||, not ||Q_k||
     q_scale = float(np.linalg.norm(problem.Q))
     report, _ = iterate_doubling(

@@ -14,7 +14,6 @@ from riccati import (
     ShiftSequence,
     SignOptions,
     SolveOptions,
-    SteinProblem,
     build_symplectic,
     care_sda_solve,
     dare_fixed_point_solve,

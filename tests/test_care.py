@@ -14,14 +14,13 @@ from riccati import (
     care_to_dare,
     hamiltonian,
     newton_care_solve,
-    sign_extract,
     sign_solve,
 )
 from riccati.care import sign_extract as extract
 from riccati.errors import InnerSolveFailed, RankMismatch, SingularShift, StructureLoss
 from riccati.generators import GeneratorSpec, gen_problem
 from riccati.io import to_problem
-from riccati.linalg import psd_check, solve_linear
+from riccati.linalg import psd_check
 from riccati.oracle import invariant_subspace_solve
 
 

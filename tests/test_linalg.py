@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 from riccati.errors import SingularMatrix
 from riccati.linalg import (
     as_matrix,
+    cholesky_factor,
     hermitian_part,
     lu_factor,
     psd_check,
@@ -183,6 +184,33 @@ class TestLuFactor:
     def test_rectangular_raises(self):
         with pytest.raises(SingularMatrix):
             lu_factor(np.ones((2, 3)))
+
+
+class TestCholeskyFactor:
+    @pytest.mark.parametrize("m_complex", [False, True], ids=["real-m", "complex-m"])
+    @pytest.mark.parametrize("b_complex", [False, True], ids=["real-b", "complex-b"])
+    def test_half_solve_gives_b_star_m_inv_b(self, m_complex, b_complex):
+        rng = np.random.default_rng(2)
+        c = rng.standard_normal((6, 6)) + (1j * rng.standard_normal((6, 6)) if m_complex else 0)
+        m = c.conj().T @ c + np.eye(6)
+        b = rng.standard_normal((6, 4)) + (1j * rng.standard_normal((6, 4)) if b_complex else 0)
+        y = cholesky_factor(m).half_solve(b)
+        reference = b.conj().T @ np.linalg.solve(m, b)
+        assert np.linalg.norm(y.conj().T @ y - reference) <= 1e-12 * np.linalg.norm(reference)
+
+    def test_pivots_are_squared_diagonal_of_r(self):
+        chol = cholesky_factor(np.diag([9.0, 4.0, 1.0]))
+        assert chol.pivots == pytest.approx([9.0, 4.0, 1.0])
+        assert chol.min_pivot == pytest.approx(1.0)
+
+    @pytest.mark.parametrize(
+        "m",
+        [np.diag([1.0, -1.0]), np.zeros((2, 2)), np.diag([1.0, 1e-15]), np.ones((2, 3))],
+        ids=["indefinite", "zero", "below-threshold", "rectangular"],
+    )
+    def test_raises(self, m):
+        with pytest.raises(SingularMatrix):
+            cholesky_factor(m)
 
 
 def test_symmetrize_unchecked():

@@ -10,9 +10,10 @@ from riccati import (
     spectral_factorize,
     uqme_residual,
 )
+from riccati.cli import main
 from riccati.errors import SingularMatrix
 from riccati.generators import GeneratorSpec, gen_problem
-from riccati.io import to_problem
+from riccati.io import ProblemFile, save_problem, to_problem
 from riccati.linalg import psd_check
 from riccati.nme import CrState, SpectralFactorization, cr_step, nme_step
 
@@ -166,3 +167,47 @@ class TestProblemValidation:
     def test_rejects_singular_q(self):
         with pytest.raises(ValueError):
             NmeProblem(A=np.eye(2), Q=np.diag([1.0, 0.0]))
+
+    @pytest.mark.parametrize("small, definite", [(1e-13, False), (1e-11, True)])
+    def test_definiteness_margin(self, small, definite):
+        # the smallest Cholesky pivot of Q must reach 1e-12 ||Q||_F
+        q = np.diag([1.0, small])
+        if definite:
+            assert np.array_equal(NmeProblem(A=np.eye(2), Q=q).Q, q)
+        else:
+            with pytest.raises(ValueError, match="Q must be positive definite"):
+                NmeProblem(A=np.eye(2), Q=q)
+
+
+# Neither equation has a positive definite solution.  The first has the
+# indefinite fixed point diag(1, -1.25), which X_2 reaches exactly; the
+# second is scalar with x + 4/x = 1, and its iterates turn negative at once.
+NO_DEFINITE_SOLUTION = {
+    "nilpotent": ([[0.0, 1.5], [0.0, 0.0]], np.eye(2)),
+    "scalar": ([[2.0]], [[1.0]]),
+}
+
+
+class TestNoDefiniteSolution:
+    """An indefinite iterate proves that no positive definite solution exists:
+    every iterate from Q stays above the maximal one.  The solvers raise a
+    typed error there, not converged=True at an indefinite X."""
+
+    @pytest.mark.parametrize(
+        "solve", [nme_fixed_point_solve, cyclic_reduction_solve], ids=["fixed-point", "cr"]
+    )
+    @pytest.mark.parametrize("case", sorted(NO_DEFINITE_SOLUTION))
+    def test_solver_raises(self, case, solve):
+        a, q = NO_DEFINITE_SOLUTION[case]
+        with pytest.raises(SingularMatrix, match="not positive definite"):
+            solve(NmeProblem(A=a, Q=q))
+
+    @pytest.mark.parametrize("method", ["fixed-point", "cr"])
+    @pytest.mark.parametrize("case", sorted(NO_DEFINITE_SOLUTION))
+    def test_cli_exits_1(self, tmp_path, capsys, case, method):
+        a, q = NO_DEFINITE_SOLUTION[case]
+        path = tmp_path / "nme.json"
+        matrices = {"A": np.array(a), "Q": np.array(q)}
+        save_problem(path, ProblemFile(kind="nme", n=len(a), matrices=matrices))
+        assert main(["solve", "--input", str(path), "--method", method]) == 1
+        assert "not positive definite" in capsys.readouterr().err

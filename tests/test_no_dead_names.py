@@ -3,7 +3,8 @@ package itself, and every public top-level function and class, and every
 `__all__` entry, of every riccati module is read outside its own definition
 and outside the re-exports of `riccati/__init__.py`: in the package, in
 `demos/`, in `tools/` or in the acceptance tests (the invariants), not only
-in other tests."""
+in other tests.  No file in src/, demos/, tools/ or tests/ imports a name it
+never reads."""
 
 import ast
 import inspect
@@ -113,3 +114,34 @@ OTHERS = [(module, name) for module, names in sorted(PUBLIC.items()) if module !
 @pytest.mark.parametrize("module, name", OTHERS, ids=[f"{m}.{n}" for m, n in OTHERS])
 def test_public_name_is_read(module, name):
     assert _is_read(module, name), f"{module}.{name} is read nowhere outside its definition but in tests"
+
+
+def _unread_imports(tree) -> list:
+    """Names an import statement anywhere in tree binds that no expression in
+    the file reads; a name listed in `__all__` counts as read."""
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            bound += [alias.asname or alias.name for alias in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            read |= {elt.value for elt in node.value.elts}
+    return sorted(set(bound) - read)
+
+
+# the package's __init__.py imports in order to re-export
+SOURCES = sorted(
+    path
+    for tree in ("src", "demos", "tools", "tests")
+    for path in (REPO / tree).rglob("*.py")
+    if path.relative_to(REPO).as_posix() != "src/riccati/__init__.py"
+)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[str(p.relative_to(REPO)) for p in SOURCES])
+def test_every_import_is_read(path):
+    unread = _unread_imports(ast.parse(path.read_text()))
+    assert unread == [], f"{path.relative_to(REPO)} imports {unread} and never reads them"

@@ -73,24 +73,31 @@ def lu_calls(monkeypatch):
     return counting_everywhere(monkeypatch, "lu_factor")
 
 
+@pytest.fixture
+def chol_calls(monkeypatch):
+    """Calls of linalg.cholesky_factor through every riccati module that binds it."""
+    return counting_everywhere(monkeypatch, "cholesky_factor")
+
+
 class TestOneFactorizationPerStep:
     def test_sda_step(self, lu_calls):
         p = instance("dare")
         sda_step(DoublingState(Ak=p.A, Gk=p.G, Qk=p.Q, k=0))
         assert lu_calls == [(6, 6)]
 
-    def test_cr_step(self, lu_calls):
+    def test_cr_step(self, lu_calls, chol_calls):
         p = instance("nme")
-        lu_calls.clear()  # NmeProblem checks the pivots of Q
+        chol_calls.clear()  # NmeProblem checks the pivots of Q
         cr_step(CrState(Ak=p.A, Qk=p.Q, Uk=p.Q, k=0))
-        assert lu_calls == [(6, 6)]
+        assert chol_calls == [(6, 6)]
+        assert lu_calls == []
 
     @pytest.mark.parametrize("scaling", ["none", "determinantal"])
     def test_sign_iteration(self, lu_calls, scaling):
         sol = sign_solve(instance("care"), SignOptions(scaling=scaling))
         assert sol.report.converged
-        # one factorization of H_k per step, plus the solve in sign_extract
-        assert lu_calls == [(12, 12)] * sol.report.iterations + [(6, 6)]
+        # one factorization of H_k per step; sign_extract factors nothing
+        assert lu_calls == [(12, 12)] * sol.report.iterations
 
     def test_care_to_dare(self, lu_calls):
         # K is factored once; nothing factors or inverts the discrete A
@@ -101,11 +108,12 @@ class TestOneFactorizationPerStep:
         cayley_to_stein(instance("lyapunov"), 1.5)
         assert lu_calls == [(6, 6)]
 
-    def test_nme_residual(self, lu_calls):
+    def test_nme_residual(self, lu_calls, chol_calls):
         p = instance("nme")
-        lu_calls.clear()
+        chol_calls.clear()
         nme_residual(p.Q, p)
-        assert lu_calls == [(6, 6)]
+        assert chol_calls == [(6, 6)]
+        assert lu_calls == []
 
 
 class TestNewtonBuildsNoProblems:
@@ -170,14 +178,15 @@ class TestOneEvaluationPerIterate:
         assert sol.report.converged
         assert len(calls) == sol.report.iterations + 1
 
-    def test_nme_fixed_point(self, lu_calls):
+    def test_nme_fixed_point(self, lu_calls, chol_calls):
         p = instance("nme")
-        lu_calls.clear()
+        chol_calls.clear()
         report = nme_fixed_point_solve(p)
         assert report.converged
         # X_1 = Q is the first iterate: iterations - 1 steps, plus the
         # factorization that gives the residual of the returned iterate
-        assert len(lu_calls) == report.iterations
+        assert len(chol_calls) == report.iterations
+        assert lu_calls == []
 
 
 def iterates(step, x, count):
