@@ -91,8 +91,8 @@ def care_residual(x, problem: CareProblem) -> float:
     if raw == 0.0:
         return 0.0
     nx = float(np.linalg.norm(x))
-    den = float(np.linalg.norm(q)) + 2 * float(np.linalg.norm(a)) * nx
-    den += float(np.linalg.norm(g)) * nx**2
+    den = float(problem.norms["Q"]) + 2 * float(problem.norms["A"]) * nx
+    den += float(problem.norms["G"]) * nx**2
     return raw / den
 
 
@@ -121,9 +121,10 @@ def care_to_dare(problem: CareProblem, tau: float) -> DareProblem:
         raise StructureLoss(f"Cayley reduction with tau={tau} lost definiteness") from exc
 
 
-def default_cayley_tau(a) -> float:
-    """The Cayley shift max(1, ||A||_F / sqrt(n)) of an n x n matrix A."""
-    return max(1.0, float(np.linalg.norm(a)) / math.sqrt(a.shape[0]))
+def default_cayley_tau(norm_a: float, n: int) -> float:
+    """The Cayley shift max(1, ||A||_F / sqrt(n)) of an n x n matrix A, from
+    norm_a = ||A||_F (a problem's `norms["A"]`)."""
+    return max(1.0, float(norm_a) / math.sqrt(n))
 
 
 def care_sda_solve(
@@ -137,7 +138,7 @@ def care_sda_solve(
     up to twice when it is an eigenvalue of H or loses definiteness.
     """
     if tau is None:
-        base = default_cayley_tau(problem.A)
+        base = default_cayley_tau(problem.norms["A"], problem.n)
         taus = (base, 2.0 * base, 4.0 * base)
     else:
         taus = (tau,)
@@ -246,7 +247,8 @@ def _kleinman_lyap_solve(closed_loop, rhs) -> np.ndarray:
     from a validated problem, so they are used unchecked.
     """
     try:
-        start = cayley_reduce(closed_loop, rhs, default_cayley_tau(closed_loop))
+        tau = default_cayley_tau(np.linalg.norm(closed_loop), closed_loop.shape[0])
+        start = cayley_reduce(closed_loop, rhs, tau)
     except SingularShift as exc:
         raise InnerSolveFailed("closed loop A - G X_k has an eigenvalue at the Cayley shift") from exc
     report, (ak, qk) = iterate(

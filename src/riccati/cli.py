@@ -39,7 +39,7 @@ EXIT_USAGE = 64
 
 def _shifts(problem, given) -> ShiftSequence:
     """The given shifts, else the single shift default_cayley_tau(A)."""
-    return ShiftSequence(tuple(given)) if given else ShiftSequence((default_cayley_tau(problem.A),))
+    return ShiftSequence(tuple(given)) if given else ShiftSequence((default_cayley_tau(problem.norms["A"], problem.n),))
 
 
 def _lr_adi(problem, opts, shifts):

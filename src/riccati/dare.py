@@ -79,7 +79,7 @@ def dare_step(xk, problem: DareProblem) -> np.ndarray:
 
 
 def _dare_scale(x, problem: DareProblem) -> float:
-    return float(np.linalg.norm(problem.Q) + np.linalg.norm(x) * (1.0 + np.linalg.norm(problem.A) ** 2))
+    return float(problem.norms["Q"] + np.linalg.norm(x) * (1.0 + problem.norms["A"] ** 2))
 
 
 def dare_residual(x, problem: DareProblem) -> float:

@@ -3,11 +3,14 @@
 All matrices are float64 or complex128 numpy arrays, and every kernel keeps
 the field it is given: real input gives real output, and numpy and scipy
 promote to complex where real meets complex.  Whether a problem's data is
-real is decided once, by value, in `Coefficients`.  Everything here is pure:
-no routine mutates its arguments.
+real is decided once, by value, in `Coefficients`, which also holds the
+Frobenius norms of a problem's coefficients, computed once per problem, for
+the residual scales every iterate reads.  Everything here is pure: no routine
+mutates its arguments.  LU and Cholesky factorizations call LAPACK
+(getrf/getrs, potrf) directly, without scipy's checking wrappers.
 """
 
-import warnings
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -68,10 +71,22 @@ def hermitian_part(m) -> np.ndarray:
 
 
 def symmetrize(m) -> np.ndarray:
-    """Unchecked Hermitian part, for re-symmetrizing iteration updates; it
-    keeps the dtype of M."""
+    """Unchecked Hermitian part (M + M^*)/2, for re-symmetrizing iteration
+    updates; it keeps a float dtype of M, and integer input gives float64.
+
+    One fresh array: M^* is copied into it, and M is added and the sum
+    halved in place.  The result has the bits of (M + M^*) / 2: addition
+    commutes, and the halving is the same division by 2 (for complex data
+    numpy divides by 2 + 0j, which rounds signed zeros differently from a
+    product with 0.5).
+    """
     m = np.asarray(m)
-    return (m + m.conj().T) / 2
+    if m.dtype.kind not in "fc":
+        m = m.astype(np.float64)
+    out = np.conjugate(m.T, order="C")
+    out += m
+    out /= 2
+    return out
 
 
 class LU:
@@ -81,9 +96,10 @@ class LU:
     M X = B (trans=0), M^T X = B (trans=1) or M^* X = B (trans=2).
     """
 
-    def __init__(self, factors):
-        self._factors = factors
-        self.pivots = np.abs(np.diag(factors[0]))
+    def __init__(self, lu, piv):
+        self._lu = lu
+        self._piv = piv
+        self.pivots = np.abs(np.diag(lu))
 
     @property
     def min_pivot(self) -> float:
@@ -93,7 +109,10 @@ class LU:
         b = as_matrix(b)
         if b.shape[0] != self.pivots.shape[0]:
             raise SingularMatrix("dimension mismatch between M and B")
-        return scipy.linalg.lu_solve(self._factors, b, trans=trans, check_finite=False)
+        # the routine follows the field of both operands, as scipy.linalg.lu_solve's does
+        getrs = scipy.linalg.lapack.get_lapack_funcs("getrs", (self._lu, b))
+        x, _ = getrs(self._lu, self._piv, b, trans=trans)
+        return x
 
 
 def lu_factor(m) -> LU:
@@ -106,10 +125,10 @@ def lu_factor(m) -> LU:
     m = as_matrix(m)
     if m.shape[0] != m.shape[1]:
         raise SingularMatrix("coefficient matrix must be square")
-    # singular pivots are checked here, so silence scipy's warning
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu = LU(scipy.linalg.lu_factor(m, check_finite=False))
+    getrf = scipy.linalg.lapack.get_lapack_funcs("getrf", (m,))
+    # an exact zero pivot (info > 0) fails the pivot test below
+    factors, piv, _ = getrf(m)
+    lu = LU(factors, piv)
     if lu.min_pivot < PIVOT_RTOL * max(1.0, float(np.linalg.norm(m))):
         raise SingularMatrix("pivot below singularity threshold")
     return lu
@@ -134,6 +153,8 @@ class Cholesky:
         return float(np.min(self.pivots))
 
     def half_solve(self, b) -> np.ndarray:
+        if np.shape(b)[0] != self._r.shape[0]:
+            raise SingularMatrix("dimension mismatch between M and B")
         trsm = scipy.linalg.blas.get_blas_funcs("trsm", (self._r, b))
         return trsm(1.0, self._r, b, trans_a=2)
 
@@ -188,6 +209,11 @@ class Coefficients:
     that fails.  This is where a problem's field is decided: a coefficient
     whose imaginary part is exactly 0 is stored as float64, so real data
     read from a complex128 file is solved in real arithmetic.
+
+    `norms` maps A and each coefficient in `HERMITIAN` to its Frobenius
+    norm (np.float64), computed on first use and then kept: the residual
+    scales of every equation read it at each iterate, so a solve pays each
+    coefficient norm once per problem, not once per iterate.
     """
 
     HERMITIAN: tuple = ()
@@ -213,6 +239,10 @@ class Coefficients:
     @property
     def n(self) -> int:
         return self.A.shape[0]
+
+    @cached_property
+    def norms(self) -> dict:
+        return {name: np.linalg.norm(getattr(self, name)) for name in ("A", *self.HERMITIAN)}
 
 
 def spectral_radius_estimate(m, max_doublings: int = 20) -> float:

@@ -38,7 +38,7 @@ class LyapunovProblem(Coefficients):
             if c.shape[1] != self.n:
                 raise ValueError("C must have as many columns as A")
             gram = c.conj().T @ c
-            if np.linalg.norm(gram - self.Q) > 1e-10 * max(1.0, np.linalg.norm(self.Q)):
+            if np.linalg.norm(gram - self.Q) > 1e-10 * max(1.0, self.norms["Q"]):
                 raise ValueError("C^*C does not match Q")
 
 
@@ -123,7 +123,7 @@ def lyap_residual(x, problem: LyapunovProblem) -> float:
     raw = float(np.linalg.norm(a.conj().T @ x + x @ a + q))
     if raw == 0.0:
         return 0.0
-    return raw / float(np.linalg.norm(q) + 2 * np.linalg.norm(a) * np.linalg.norm(x))
+    return raw / float(problem.norms["Q"] + 2 * problem.norms["A"] * np.linalg.norm(x))
 
 
 def adi_solve(
@@ -175,6 +175,8 @@ def lr_adi_solve(
     a = problem.A
     c_star = problem.C.conj().T
     factors: dict[complex, LU] = {}  # LU of A - conj(tau) I per distinct shift
+    # A^* + conj(tau) I per distinct shift
+    adjoints = {tau: a.conj().T + np.conj(tau) * np.eye(problem.n) for tau in shifts.shifts}
 
     def shifted_adjoint_solve(tau, rhs):  # (A^* - tau I)^{-1} rhs
         if tau not in factors:
@@ -190,7 +192,7 @@ def lr_adi_solve(
             tau_prev = shifts.at(j - 1)
             tau = shifts.at(j)
             scale = math.sqrt(tau.real / tau_prev.real)
-            rhs = (a.conj().T + np.conj(tau_prev) * np.eye(problem.n)) @ v
+            rhs = adjoints[tau_prev] @ v
             v = scale * shifted_adjoint_solve(tau, rhs)
             v_norm = float(np.linalg.norm(v))
             if v_norm <= opts.tol * math.sqrt(z_norm_sq):

@@ -47,7 +47,7 @@ class NmeProblem(Coefficients):
     def __post_init__(self):
         super().__post_init__()
         try:
-            definite = cholesky_factor(self.Q).min_pivot >= 1e-12 * np.linalg.norm(self.Q)
+            definite = cholesky_factor(self.Q).min_pivot >= 1e-12 * self.norms["Q"]
         except SingularMatrix:
             definite = False
         if not definite:
@@ -110,7 +110,8 @@ def _nme_map(x, problem: NmeProblem):
     y = chol.half_solve(a)
     x_next = symmetrize(q - y.conj().T @ y)
     inv_proxy = 1.0 / chol.min_pivot
-    return x_next, float(np.linalg.norm(q) + np.linalg.norm(x) + np.linalg.norm(a) ** 2 * inv_proxy)
+    norms = problem.norms
+    return x_next, float(norms["Q"] + np.linalg.norm(x) + norms["A"] ** 2 * inv_proxy)
 
 
 def nme_step(xk, problem: NmeProblem) -> np.ndarray:
@@ -174,7 +175,7 @@ def cyclic_reduction_solve(
     not positive definite raises SingularMatrix: the equation then has no
     positive definite solution."""
     # unlike SDA, the floor scales with ||Q||, not ||Q_k||
-    q_scale = float(np.linalg.norm(problem.Q))
+    q_scale = float(problem.norms["Q"])
     report, _ = iterate_doubling(
         CrState(Ak=problem.A.copy(), Qk=problem.Q.copy(), Uk=problem.Q.copy(), k=0),
         cr_step,
@@ -203,5 +204,5 @@ def uqme_residual(y, problem: NmeProblem) -> float:
     if raw == 0.0:
         return 0.0
     ny = float(np.linalg.norm(y))
-    den = float(np.linalg.norm(a)) * (1.0 + ny**2) + float(np.linalg.norm(q)) * ny
+    den = float(problem.norms["A"]) * (1.0 + ny**2) + float(problem.norms["Q"]) * ny
     return raw / den

@@ -43,7 +43,7 @@ def smith_step(xk, problem: SteinProblem) -> np.ndarray:
 
 def _stein_scale(x, problem: SteinProblem) -> float:
     nx = float(np.linalg.norm(x))
-    return float(np.linalg.norm(problem.Q) + np.linalg.norm(problem.A) ** 2 * nx + nx)
+    return float(problem.norms["Q"] + problem.norms["A"] ** 2 * nx + nx)
 
 
 def stein_residual(x, problem: SteinProblem) -> float:

@@ -324,7 +324,7 @@ class TestCareSdaRetry:
         import riccati.care
 
         reduce = riccati.care.care_to_dare
-        base = riccati.care.default_cayley_tau(SCALAR.A)
+        base = riccati.care.default_cayley_tau(SCALAR.norms["A"], SCALAR.n)
         taus = []
 
         def lose_definiteness_at_base(problem, tau):

@@ -345,7 +345,7 @@ class TestSolveCommand:
         path = tmp_path / "lyap.json"
         main(["gen", "--kind", "lyapunov", "--n", "4", "--seed", "2", "--output", str(path)])
         problem = to_problem(load_problem(path))
-        factor = lr_adi_solve(problem, ShiftSequence((default_cayley_tau(problem.A),)), 50)
+        factor = lr_adi_solve(problem, ShiftSequence((default_cayley_tau(problem.norms["A"], problem.n),)), 50)
         blocks = factor.Z.shape[1] // factor.block_width
 
         def no_dense_adi(*args, **kwargs):

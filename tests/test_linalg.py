@@ -1,5 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, strategies as st
 
 from riccati.errors import SingularMatrix
@@ -185,6 +188,31 @@ class TestLuFactor:
         with pytest.raises(SingularMatrix):
             lu_factor(np.ones((2, 3)))
 
+    @pytest.mark.parametrize("trans", [0, 1, 2])
+    @pytest.mark.parametrize(
+        "m_complex, b_complex", [(False, False), (True, True), (False, True)], ids=["real", "complex", "real-m"]
+    )
+    def test_solve_matches_scipy_bits(self, trans, m_complex, b_complex):
+        # getrf/getrs called directly return what scipy's wrappers return
+        rng = np.random.default_rng(3)
+        m = rng.standard_normal((7, 7)) + (1j * rng.standard_normal((7, 7)) if m_complex else 0)
+        b = rng.standard_normal((7, 4)) + (1j * rng.standard_normal((7, 4)) if b_complex else 0)
+        x = lu_factor(m).solve(b, trans)
+        reference = scipy.linalg.lu_solve(scipy.linalg.lu_factor(m), b, trans=trans)
+        assert x.dtype == reference.dtype
+        assert x.tobytes() == reference.tobytes()
+
+    def test_exactly_singular_raises_without_warning(self):
+        # getrf meets an exact zero pivot; scipy's wrapper would warn
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularMatrix):
+                lu_factor([[1.0, 2.0], [2.0, 4.0]])
+
+    def test_solve_dimension_mismatch_raises(self):
+        with pytest.raises(SingularMatrix, match="dimension mismatch"):
+            lu_factor(np.eye(3)).solve(np.ones((2, 1)))
+
 
 class TestCholeskyFactor:
     @pytest.mark.parametrize("m_complex", [False, True], ids=["real-m", "complex-m"])
@@ -211,6 +239,51 @@ class TestCholeskyFactor:
     def test_raises(self, m):
         with pytest.raises(SingularMatrix):
             cholesky_factor(m)
+
+    def test_half_solve_dimension_mismatch_raises(self):
+        # as LU.solve does, not f2py's bare shape error
+        with pytest.raises(SingularMatrix, match="dimension mismatch between M and B"):
+            cholesky_factor(np.eye(3)).half_solve(np.ones((2, 1)))
+
+
+def _signed_zeros():
+    # every sign combination of zero real and imaginary parts, which
+    # (M + M^*) / 2 rounds through numpy's division by 2 + 0j
+    parts = [0.0, -0.0, 1.0, -1.0]
+    values = [complex(re, im) for re in parts for im in parts]
+    return np.array(values).reshape(4, 4)
+
+
+def _symmetrize_inputs():
+    rng = np.random.default_rng(4)
+    real = rng.standard_normal((5, 5))
+    cplx = real + 1j * rng.standard_normal((5, 5))
+    return {
+        "real": real,
+        "complex": cplx,
+        "f-ordered-real": np.asfortranarray(real),
+        "f-ordered-complex": np.asfortranarray(cplx),
+        "transposed-view": cplx.T,
+        "1x1-complex": np.array([[2.0 - 3.0j]]),
+        "1x1-real": np.array([[-0.0]]),
+        "signed-zeros": _signed_zeros(),
+        "integer": np.arange(9).reshape(3, 3),
+    }
+
+
+SYMMETRIZE_INPUTS = _symmetrize_inputs()
+
+
+@pytest.mark.parametrize("name, m", list(SYMMETRIZE_INPUTS.items()), ids=list(SYMMETRIZE_INPUTS))
+def test_symmetrize_has_the_bits_of_the_two_pass_form(name, m):
+    before = m.copy()
+    reference = (m + m.conj().T) / 2
+    out = symmetrize(m)
+    assert out.dtype == reference.dtype
+    assert out.dtype == (np.float64 if name == "integer" else m.dtype)
+    assert out.tobytes() == reference.tobytes()
+    assert not np.shares_memory(out, m)
+    assert before.tobytes() == m.tobytes()
 
 
 def test_symmetrize_unchecked():

@@ -1,6 +1,6 @@
 """Each step does its work once: one factorization per matrix, one
 evaluation of the fixed-point map per iterate, one Cayley reduction per
-ADI shift."""
+ADI shift, one norm per problem coefficient."""
 
 import sys
 
@@ -140,6 +140,38 @@ class TestNoUnreadDiagnostics:
         calls = counting_everywhere(monkeypatch, "spectral_radius_estimate")
         assert solve(p).report.converged
         assert calls == []
+
+
+class TestCoefficientNormsOncePerProblem:
+    @pytest.mark.parametrize(
+        "kind, solve",
+        [
+            ("stein", smith_solve),
+            ("lyapunov", lambda p: adi_solve(p, ShiftSequence((1.5,)))),
+            ("dare", lambda p: dare_fixed_point_solve(p).report),
+            ("nme", nme_fixed_point_solve),
+            ("care", lambda p: care_sda_solve(p).report),
+            ("care", lambda p: newton_care_solve(p, np.zeros((p.n, p.n))).report),
+        ],
+        ids=["smith", "adi", "dare-fixed-point", "nme-fixed-point", "care-sda", "newton"],
+    )
+    def test_two_solves(self, monkeypatch, kind, solve):
+        # every residual scale reads the norms of the unchanged coefficients,
+        # which the problem computes once, not once per iterate
+        p = instance(kind, n=16, seed=0)
+        stored = [getattr(p, name) for name in ("A", "G", "Q") if hasattr(p, name)]
+        counts = [0] * len(stored)
+        norm = np.linalg.norm
+
+        def counting_norm(x, *args, **kwargs):
+            for i, m in enumerate(stored):
+                counts[i] += x is m
+            return norm(x, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "norm", counting_norm)
+        reports = [solve(p), solve(p)]
+        assert all(r.converged and r.iterations > 1 for r in reports)
+        assert max(counts) <= 1
 
 
 class TestOneReductionPerShift:
