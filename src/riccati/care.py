@@ -170,8 +170,11 @@ def sign_solve(problem: CareProblem, opts: SolveOptions = SignOptions()) -> Dare
     per step, and X is extracted from the final H_k.  One factorization of
     H_k gives both tau and (H_k/tau)^{-1} = tau H_k^{-1}.  The iteration
     stops at a step of min(opts.tol, 1e-5), since a looser stop leaves H_k
-    too far from a sign matrix to extract X.  A plain SolveOptions as `opts`
-    means scaling="none".
+    too far from a sign matrix to extract X.  A run that stops unconverged
+    (budget, stagnation) on an H_k the extraction rejects returns
+    converged=False with an all-NaN X; a converged run raises its
+    RankMismatch or SingularU1.  A plain SolveOptions as `opts` means
+    scaling="none".
     """
     eye2n = np.eye(2 * problem.n)
     determinantal = isinstance(opts, SignOptions) and opts.scaling == "determinantal"
@@ -195,7 +198,12 @@ def sign_solve(problem: CareProblem, opts: SolveOptions = SignOptions()) -> Dare
         solution=lambda s: s[0],
         first_iteration=1,
     )
-    report.X = sign_extract(h)
+    try:
+        report.X = sign_extract(h)
+    except (RankMismatch, SingularU1):
+        if report.converged:
+            raise
+        report.X = np.full((problem.n, problem.n), np.nan, dtype=h.dtype)
     return DareSolution(X_plus=report.X, Y_plus=None, report=report)
 
 

@@ -22,14 +22,14 @@ from .care import (
     newton_care_solve,
     sign_solve,
 )
-from .dare import DoublingState, build_symplectic, dare_fixed_point_solve, dare_residual, sda_solve, sda_step, wiener_hopf_check
+from .dare import DoublingState, build_symplectic, dare_fixed_point_solve, sda_solve, sda_step, wiener_hopf_check
 from .errors import OverflowGuard, RegionCountMismatch, RiccatiError
 from .generators import GeneratorSpec, gen_problem
 from .io import load_problem, save_problem, to_problem
 from .lyapunov import ShiftSequence, adi_solve, cayley_to_stein, lr_adi_solve, lyap_residual
-from .nme import CrState, cr_step, cyclic_reduction_solve, nme_fixed_point_solve, nme_residual, spectral_factorize, uqme_residual
+from .nme import CrState, cr_step, cyclic_reduction_solve, nme_fixed_point_solve, spectral_factorize, uqme_residual
 from .reporting import SolveOptions, SolveReport
-from .stein import smith_solve, squared_smith_solve, stein_residual
+from .stein import smith_solve, squared_smith_solve
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -42,58 +42,64 @@ def _shifts(problem, given) -> ShiftSequence:
     return ShiftSequence(tuple(given)) if given else ShiftSequence((default_cayley_tau(problem.norms["A"], problem.n),))
 
 
+def _last(report):
+    """(report, the residual its history ends in): the kind's residual of X."""
+    return report, report.residual_history[-1]
+
+
+def _of_x(report, residual, problem):
+    """(report, residual(X, problem)), nan for a non-finite X, for a cell
+    whose history holds another quantity."""
+    return report, residual(report.X, problem) if np.all(np.isfinite(report.X)) else float("nan")
+
+
 def _lr_adi(problem, opts, shifts):
-    """LR-ADI's own report: the Gramian ZZ^* and its kept block count.  It
-    records no residual history, and its converged flag is left False for
-    `_solve_dispatch`, which sets it from the one residual of X it evaluates."""
+    """LR-ADI's report: the Gramian ZZ^* and its kept block count.  It records
+    no residual history; the one residual of the Gramian it evaluates is both
+    the printed value and its convergence test."""
     factor = lr_adi_solve(problem, _shifts(problem, shifts), opts.resolve_max_iter(50), opts)
+    x = factor.gramian()
+    final = lyap_residual(x, problem)
     blocks = factor.Z.shape[1] // factor.block_width
-    return SolveReport(X=factor.gramian(), converged=False, iterations=blocks)
+    return SolveReport(X=x, converged=final <= opts.tol, iterations=blocks), final
 
 
-# Every (kind, method) of the CLI as solver(problem, opts, shifts) -> SolveReport,
-# where shifts is a list of complex shifts or None.  `bench` pairs the first
-# (basic) and last (doubling) method of each kind.  Solvers and residuals are
-# looked up by name at call time, so patched module bindings are the ones called.
+# Every (kind, method) of the CLI as solver(problem, opts, shifts) ->
+# (SolveReport, final residual), shifts a list of complex shifts or None.  The
+# final residual is the one `solve` prints, the kind's residual of X: `_last`
+# reads it off the history, `_of_x` evaluates it for a cell whose history
+# holds another quantity (which `--trace` writes as it is).  `bench` pairs the
+# first (basic) and last (doubling) method of each kind, newton and sda for
+# care.  Solvers and residuals are looked up by name at call time, so patched
+# module bindings are the ones called.
 SOLVERS = {
     "stein": {
-        "smith": lambda p, o, s: smith_solve(p, o),
-        "squared-smith": lambda p, o, s: squared_smith_solve(p, o),
+        "smith": lambda p, o, s: _last(smith_solve(p, o)),
+        "squared-smith": lambda p, o, s: _last(squared_smith_solve(p, o)),
     },
     "lyapunov": {
-        "adi": lambda p, o, s: adi_solve(p, _shifts(p, s), o),
+        "adi": lambda p, o, s: _last(adi_solve(p, _shifts(p, s), o)),
         "lr-adi": _lr_adi,
-        "cayley-smith": lambda p, o, s: squared_smith_solve(cayley_to_stein(p, _shifts(p, s).at(0)), o),
+        "cayley-smith": lambda p, o, s: _of_x(
+            squared_smith_solve(cayley_to_stein(p, _shifts(p, s).at(0)), o), lyap_residual, p
+        ),
     },
     "dare": {
-        "fixed-point": lambda p, o, s: dare_fixed_point_solve(p, o).report,
-        "sda": lambda p, o, s: sda_solve(p, o).report,
+        "fixed-point": lambda p, o, s: _last(dare_fixed_point_solve(p, o).report),
+        "sda": lambda p, o, s: _last(sda_solve(p, o).report),
     },
     "care": {
-        "sign": lambda p, o, s: sign_solve(
-            p, SignOptions(scaling="determinantal", tol=o.tol, max_iter=o.max_iter)
-        ).report,
-        "newton": lambda p, o, s: newton_care_solve(p, np.zeros((p.n, p.n)), o).report,
-        "sda": lambda p, o, s: care_sda_solve(p, opts=o).report,
+        "newton": lambda p, o, s: _last(newton_care_solve(p, np.zeros((p.n, p.n)), o).report),
+        "sign": lambda p, o, s: _of_x(
+            sign_solve(p, SignOptions(scaling="determinantal", tol=o.tol, max_iter=o.max_iter)).report, care_residual, p
+        ),
+        "sda": lambda p, o, s: _last(care_sda_solve(p, opts=o).report),
     },
     "nme": {
-        "fixed-point": lambda p, o, s: nme_fixed_point_solve(p, o),
-        "cr": lambda p, o, s: cyclic_reduction_solve(p, o),
+        "fixed-point": lambda p, o, s: _last(nme_fixed_point_solve(p, o)),
+        "cr": lambda p, o, s: _last(cyclic_reduction_solve(p, o)),
     },
 }
-RESIDUALS = {
-    "stein": lambda x, p: stein_residual(x, p),
-    "lyapunov": lambda x, p: lyap_residual(x, p),
-    "dare": lambda x, p: dare_residual(x, p),
-    "care": lambda x, p: care_residual(x, p),
-    "nme": lambda x, p: nme_residual(x, p),
-}
-# The cells whose residual_history does not end in the kind's residual of X,
-# so the CLI evaluates it once more: lr-adi records none, cayley-smith the
-# Stein residual of the reduced problem and sign its relative step norm.
-# Every other cell's last entry is that residual, computed from the same X by
-# the same function.
-RECOMPUTE_RESIDUAL = {("lyapunov", "lr-adi"), ("lyapunov", "cayley-smith"), ("care", "sign")}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -113,16 +119,8 @@ def _write_trace(path, history, elapsed):
 
 def _solve_dispatch(pf, method: str, opts: SolveOptions, shifts):
     """Run one (kind, method) cell with the given shifts, else the file's;
-    returns (report, final_residual).  LR-ADI converges when that residual
-    meets tol."""
-    problem = to_problem(pf)
-    report = SOLVERS[pf.kind][method](problem, opts, shifts or pf.shifts)
-    if (pf.kind, method) not in RECOMPUTE_RESIDUAL:
-        return report, report.residual_history[-1]
-    final = RESIDUALS[pf.kind](report.X, problem)
-    if (pf.kind, method) == ("lyapunov", "lr-adi"):
-        report.converged = final <= opts.tol
-    return report, final
+    returns (report, final_residual)."""
+    return SOLVERS[pf.kind][method](to_problem(pf), opts, shifts or pf.shifts)
 
 
 def cmd_gen(args) -> int:

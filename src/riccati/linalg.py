@@ -218,19 +218,24 @@ class Coefficients:
 
     HERMITIAN: tuple = ()
 
-    def _store(self, name: str, m: np.ndarray) -> np.ndarray:
-        """Set the field `name` to M, as float64 when M's imaginary part is 0."""
+    def _store(self, name: str, check) -> np.ndarray:
+        """Set the field `name` to M = check(its value), as float64 when M's
+        imaginary part is 0; a ValueError of check gets the name in front."""
+        try:
+            m = check(getattr(self, name))
+        except ValueError as exc:
+            raise ValueError(f"{name}: {exc}") from exc
         if np.iscomplexobj(m) and not m.imag.any():
             m = np.ascontiguousarray(m.real)
         object.__setattr__(self, name, m)
         return m
 
     def __post_init__(self):
-        a = self._store("A", as_matrix(self.A))
+        a = self._store("A", as_matrix)
         if a.shape[0] != a.shape[1]:
             raise ValueError("A must be square")
         for name in self.HERMITIAN:
-            m = self._store(name, hermitian_part(getattr(self, name)))
+            m = self._store(name, hermitian_part)
             if m.shape != a.shape:
                 raise ValueError(f"{name} must match the shape of A")
             if not psd_check(m, 1e-10):

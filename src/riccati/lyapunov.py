@@ -34,7 +34,7 @@ class LyapunovProblem(Coefficients):
     def __post_init__(self):
         super().__post_init__()
         if self.C is not None:
-            c = self._store("C", as_matrix(self.C))
+            c = self._store("C", as_matrix)
             if c.shape[1] != self.n:
                 raise ValueError("C must have as many columns as A")
             gram = c.conj().T @ c

@@ -43,7 +43,10 @@ class SolveReport:
 
     `residual_history` holds the relative residual of every recorded iterate
     (including the initial one where the solver records it, so its length is
-    iterations or iterations + 1).  `rate_estimate` is the geometric mean of
+    iterations or iterations + 1).  The sign iteration records relative step
+    norms ||H_k - H_{k-1}|| / ||H_{k-1}|| there instead, and squared Smith on a
+    Cayley-reduced Lyapunov problem records the reduced Stein residual, not
+    the Lyapunov one.  `rate_estimate` is the geometric mean of
     successive iterate-update-norm ratios over the last five recorded steps;
     update norms rather than residuals make the estimate meaningful also in
     critical cases where the residual shrinks quadratically in the error.

@@ -17,7 +17,7 @@ from riccati import (
     sign_solve,
 )
 from riccati.care import sign_extract as extract
-from riccati.errors import InnerSolveFailed, RankMismatch, SingularShift, StructureLoss
+from riccati.errors import InnerSolveFailed, RankMismatch, SingularShift, SingularU1, StructureLoss
 from riccati.generators import GeneratorSpec, gen_problem
 from riccati.io import to_problem
 from riccati.linalg import psd_check
@@ -171,6 +171,19 @@ class TestSignSolve:
         assert not sol.report.converged
         assert sol.report.iterations < 20
         assert care_residual(sol.X_plus, p) <= 1e-12
+
+    @pytest.mark.parametrize("max_iter", [1, 2, 3])
+    def test_exhausted_budget_returns_nan_x(self, max_iter):
+        # H_k is no sign matrix yet, so there is no X to extract
+        sol = sign_solve(random_instance(1, 8), SignOptions(scaling="determinantal", max_iter=max_iter))
+        assert (sol.report.converged, sol.report.iterations) == (False, max_iter)
+        assert sol.X_plus.shape == (8, 8) and np.all(np.isnan(sol.X_plus))
+
+    def test_converged_run_still_raises(self):
+        # H = diag(1, -1) is its own sign, but its stable subspace is e_2,
+        # which has no graph form [I; X]
+        with pytest.raises(SingularU1):
+            sign_solve(CareProblem(A=[[1.0]], G=[[0.0]], Q=[[0.0]]))
 
     @pytest.mark.parametrize("scaling", ["none", "determinantal"])
     @pytest.mark.parametrize("n", [16, 32])

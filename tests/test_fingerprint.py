@@ -25,8 +25,9 @@ def test_every_cli_cell_has_an_entry():
     for kind, methods in SOLVERS.items():
         assert f"file {kind} n=1 seed=0" in entries
         for method in methods:
-            entry = entries[f"solve {kind} {method} n=1 seed=0 tol=1e-12"]
-            assert set(entry) in ({"error"}, LIBRARY_KEYS | {"final_residual"})
+            for budget in ("", " max_iter=1"):
+                entry = entries[f"solve {kind} {method} n=1 seed=0 tol=1e-12{budget}"]
+                assert set(entry) in ({"error"}, LIBRARY_KEYS | {"final_residual"})
     assert set(entries["newton_care_solve x0=0.1I n=1 seed=0"]) == LIBRARY_KEYS
     scalar = entries["care_sda_solve tau=1.0 scalar A=0 G=Q=1"]
     assert set(scalar) == LIBRARY_KEYS

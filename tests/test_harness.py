@@ -5,11 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from riccati.cli import RESIDUALS, SOLVERS, _solve_dispatch, main
+from riccati.care import care_residual
+from riccati.cli import SOLVERS, _solve_dispatch, main
+from riccati.dare import dare_residual
 from riccati.errors import InvalidSpec, ParseError, RiccatiError
 from riccati.generators import GeneratorSpec, gen_problem
 from riccati.io import ProblemFile, load_problem, save_problem, to_problem
+from riccati.lyapunov import lyap_residual
+from riccati.nme import nme_residual
 from riccati.reporting import SolveOptions
+from riccati.stein import stein_residual
 
 
 class TestProblemFileIO:
@@ -312,12 +317,9 @@ class TestSolveCommand:
         # a budget the iteration does not use leaves the output as it is
         assert main(["solve", "--input", str(path), "--method", "sign", "--max-iter", "50"]) == 0
         assert capsys.readouterr().out == default
-        # after one step H_1 is no sign matrix yet, so the extraction fails
-        code = main(["solve", "--input", str(path), "--method", "sign", "--max-iter", "1"])
-        captured = capsys.readouterr()
-        assert code == 1
-        assert "iterations: 6" not in captured.out
-        assert "null space" in captured.err
+        # after one step H_1 is no sign matrix yet: an exhausted budget, no X
+        assert main(["solve", "--input", str(path), "--method", "sign", "--max-iter", "1"]) == 2
+        assert capsys.readouterr().out == "iterations: 1\nfinal residual: nan\nconverged: False\n"
 
     def test_sign_at_loose_tol(self, tmp_path, capsys):
         path = tmp_path / "care.json"
@@ -336,6 +338,13 @@ class TestSolveCommand:
 
     def test_missing_file_exit_1(self):
         assert main(["solve", "--input", "/nonexistent.json", "--method", "smith"]) == 1
+
+    def test_invalid_coefficient_named_exit_1(self, tmp_path, capsys):
+        g = [[1.0, 2.0], [0.0, 1.0]]  # not Hermitian
+        path = tmp_path / "bad.json"
+        save_problem(path, ProblemFile(kind="dare", n=2, matrices={"A": np.eye(2), "G": g, "Q": np.eye(2)}))
+        assert main(["solve", "--input", str(path), "--method", "sda"]) == 1
+        assert "G: matrix is not Hermitian within tolerance" in capsys.readouterr().err
 
     def test_lr_adi_reports_its_own_blocks(self, tmp_path, capsys, monkeypatch):
         import riccati.cli
@@ -375,16 +384,37 @@ class TestSolveCommand:
                 )
 
 
+# the public residual of each kind, which every cell's final residual must be
+KIND_RESIDUAL = {
+    "stein": stein_residual,
+    "lyapunov": lyap_residual,
+    "dare": dare_residual,
+    "care": care_residual,
+    "nme": nme_residual,
+}
+
+
 class TestFinalResidual:
     @pytest.mark.parametrize("kind, method", sorted((k, m) for k in SOLVERS for m in SOLVERS[k]))
     def test_is_the_kinds_residual_of_x(self, kind, method):
         specs = [GeneratorSpec(kind=kind, n=6, seed=seed) for seed in (0, 1)]
         if method in ("squared-smith", "cr"):
             specs.append(GeneratorSpec(kind=kind, n=6, seed=0, critical=True))
+        opts = SolveOptions(tol=1e-12)
         for spec in specs:
             pf = gen_problem(spec)
-            report, final = _solve_dispatch(pf, method, SolveOptions(tol=1e-12), None)
-            assert final == RESIDUALS[kind](report.X, to_problem(pf)), spec
+            problem = to_problem(pf)
+            report, final = SOLVERS[kind][method](problem, opts, None)
+            assert final == KIND_RESIDUAL[kind](report.X, problem), spec
+            dispatched, dispatched_final = _solve_dispatch(pf, method, opts, None)
+            assert dispatched_final == final, spec
+            assert (dispatched.iterations, dispatched.converged) == (report.iterations, report.converged), spec
+            assert np.array_equal(dispatched.X, report.X), spec
+
+    def test_lr_adi_direct_call_sets_converged(self):
+        problem = to_problem(gen_problem(GeneratorSpec(kind="lyapunov", n=16, seed=0)))
+        report, final = SOLVERS["lyapunov"]["lr-adi"](problem, SolveOptions(tol=1e-12), None)
+        assert report.converged and final <= 1e-12
 
 
 class TestVerifyCommand:
@@ -487,6 +517,12 @@ class TestBenchCommand:
             rows = list(csv.DictReader(fh))
         sda_rows = [r for r in rows if r["method"] == "sda"]
         assert sda_rows and all(int(r["iterations"]) <= 60 for r in sda_rows)
+
+    def test_care_pairs_newton_with_sda(self, tmp_path):
+        out = tmp_path / "bench.csv"
+        assert main(["bench", "--kind", "care", "--sizes", "8", "--output", str(out)]) == 0
+        with out.open() as fh:
+            assert [row["method"] for row in csv.DictReader(fh)] == ["newton", "sda"]
 
     def test_failing_cell_writes_nan_exit_2(self, tmp_path, monkeypatch):
         def breaks_down(problem, opts, shifts):

@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, strategies as st
 
+from riccati.dare import DareProblem
 from riccati.errors import SingularMatrix
 from riccati.linalg import (
     as_matrix,
@@ -17,6 +18,7 @@ from riccati.linalg import (
     spectral_radius_estimate,
     symmetrize,
 )
+from riccati.lyapunov import LyapunovProblem
 from riccati.stein import SteinProblem
 
 
@@ -73,6 +75,28 @@ class TestHermitianPart:
     def test_rejects_rectangular(self):
         with pytest.raises(ValueError):
             hermitian_part(np.zeros((2, 3)))
+
+
+NAN = [[np.nan, 0.0], [0.0, 1.0]]
+I2 = np.eye(2)
+
+
+class TestCoefficientsNameTheFailure:
+    """A coefficient rejected by `as_matrix` or `hermitian_part` is named."""
+
+    @pytest.mark.parametrize(
+        "cls, coefficients, named",
+        [
+            (DareProblem, {"A": NAN, "G": I2, "Q": I2}, "A: matrix entries must be finite"),
+            (DareProblem, {"A": I2, "G": [[1.0, 2.0], [0.0, 1.0]], "Q": I2}, "G: matrix is not Hermitian within tolerance"),
+            (DareProblem, {"A": I2, "G": np.ones((2, 3)), "Q": I2}, "G: Hermitian matrices must be square"),
+            (DareProblem, {"A": I2, "G": I2, "Q": NAN}, "Q: matrix entries must be finite"),
+            (LyapunovProblem, {"A": -I2, "Q": I2, "C": [[np.nan, 0.0]]}, "C: matrix entries must be finite"),
+        ],
+    )
+    def test_message_starts_with_the_name(self, cls, coefficients, named):
+        with pytest.raises(ValueError, match=f"^{named}$"):
+            cls(**coefficients)
 
 
 class TestSolveLinear:

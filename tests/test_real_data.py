@@ -80,7 +80,7 @@ def nme_certificate(x, m):
 
 
 def solve(kind, method, matrices, shifts=None) -> np.ndarray:
-    report = SOLVERS[kind][method](PROBLEMS[kind](**matrices), OPTS, shifts)
+    report, _ = SOLVERS[kind][method](PROBLEMS[kind](**matrices), OPTS, shifts)
     return report.X
 
 
@@ -108,7 +108,8 @@ def test_zero_imaginary_part_gives_the_same_x(kind, method):
 def test_complex_data_stays_complex(kind, method):
     problem = to_problem(gen_problem(GeneratorSpec(kind=kind, n=6, seed=0)))
     assert problem.A.dtype == np.complex128
-    assert SOLVERS[kind][method](problem, OPTS, None).X.dtype == np.complex128
+    report, _ = SOLVERS[kind][method](problem, OPTS, None)
+    assert report.X.dtype == np.complex128
 
 
 @pytest.mark.parametrize("method", sorted(SOLVERS["lyapunov"]))

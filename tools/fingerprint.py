@@ -1,9 +1,10 @@
 """Bit-level fingerprint of every CLI solve and every generated problem file.
 
-Prints one JSON object, one entry per line, keyed by cell; besides the
-grid it runs `care_sda_solve` on the scalar CARE A = 0, G = Q = 1 at three
-shifts.  Run it on two checkouts and diff the outputs to see which results a
-change moved:
+Prints one JSON object, one entry per line, keyed by cell.  Each CLI cell
+of the grid also runs once at tol 1e-12 with max_iter=1, so the path of an
+exhausted budget shows in a diff.  Besides the grid it runs `care_sda_solve`
+on the scalar CARE A = 0, G = Q = 1 at three shifts.  Run it on two
+checkouts and diff the outputs to see which results a change moved:
 
     python3 tools/fingerprint.py > after.json
     (cd ../other-checkout && python3 tools/fingerprint.py) > before.json
@@ -93,6 +94,11 @@ def fingerprint(sizes=SIZES, seeds=SEEDS, tols=TOLS, critical_kinds=CRITICAL_KIN
                                 out[f"solve {label} {method} {cell} tol={tol:g}"] = _entry(
                                     lambda: cli._solve_dispatch(pf, method, opts, None)
                                 )
+                            # one step: the path of an exhausted budget
+                            opts = SolveOptions(tol=1e-12, max_iter=1)
+                            out[f"solve {label} {method} {cell} tol=1e-12 max_iter=1"] = _entry(
+                                lambda: cli._solve_dispatch(pf, method, opts, None)
+                            )
     for n in sizes:
         for seed in seeds:
             p = to_problem(gen_problem(GeneratorSpec(kind="care", n=n, seed=seed)))
