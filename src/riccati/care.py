@@ -24,7 +24,6 @@ from .linalg import (
     Coefficients,
     as_matrix,
     lu_factor,
-    solve_linear,
     symmetrize,
 )
 from .lyapunov import cayley_reduce
@@ -82,18 +81,24 @@ def hamiltonian(problem: CareProblem) -> np.ndarray:
     return np.block([[a, -g], [-q, -a.conj().T]])
 
 
-def care_residual(x, problem: CareProblem) -> float:
-    """Relative residual ||Q + A^*X + XA - XGX|| normalized by
-    ||Q|| + 2 ||A|| ||X|| + ||G|| ||X||^2."""
-    x = as_matrix(x)
+def _care_residual(x, nx: float, problem: CareProblem) -> float:
+    """`care_residual` of an X with ||X||_F = nx."""
     a, g, q = problem.A, problem.G, problem.Q
     raw = float(np.linalg.norm(q + a.conj().T @ x + x @ a - x @ g @ x))
     if raw == 0.0:
         return 0.0
-    nx = float(np.linalg.norm(x))
     den = float(problem.norms["Q"]) + 2 * float(problem.norms["A"]) * nx
     den += float(problem.norms["G"]) * nx**2
     return raw / den
+
+
+def care_residual(x, problem: CareProblem) -> float:
+    """Relative residual ||Q + A^*X + XA - XGX|| normalized by
+    ||Q|| + 2 ||A|| ||X|| + ||G|| ||X||^2.
+
+    X is not scanned: a non-finite X gives a non-finite residual."""
+    x = np.asarray(x)
+    return _care_residual(x, float(np.linalg.norm(x)), problem)
 
 
 def care_to_dare(problem: CareProblem, tau: float) -> DareProblem:
@@ -110,7 +115,7 @@ def care_to_dare(problem: CareProblem, tau: float) -> DareProblem:
     eye = np.eye(n)
     k = np.block([[a - tau * eye, -g], [q, a.conj().T - tau * eye]])
     try:
-        m = np.eye(2 * n) + 2 * tau * solve_linear(k, np.eye(2 * n))
+        m = np.eye(2 * n) + 2 * tau * lu_factor(k).inverse()
     except SingularMatrix as exc:
         raise SingularShift(f"tau={tau} is (numerically) an eigenvalue of H") from exc
     try:
@@ -168,21 +173,20 @@ def sign_solve(problem: CareProblem, opts: SolveOptions = SignOptions()) -> Dare
     reference shift 1.  The state (H_k, ||H_k - H_{k-1}|| / ||H_{k-1}||) runs
     on `iterate` from H_1, so `residual_history` holds one relative step norm
     per step, and X is extracted from the final H_k.  One factorization of
-    H_k gives both tau and (H_k/tau)^{-1} = tau H_k^{-1}.  The iteration
-    stops at a step of min(opts.tol, 1e-5), since a looser stop leaves H_k
-    too far from a sign matrix to extract X.  A run that stops unconverged
-    (budget, stagnation) on an H_k the extraction rejects returns
-    converged=False with an all-NaN X; a converged run raises its
-    RankMismatch or SingularU1.  A plain SolveOptions as `opts` means
-    scaling="none".
+    H_k gives both tau and (H_k/tau)^{-1} = tau H_k^{-1}, inverted from the
+    same factors (getri).  The iteration stops at a step of min(opts.tol,
+    1e-5), since a looser stop leaves H_k too far from a sign matrix to
+    extract X.  A run that stops unconverged (budget, stagnation) on an H_k
+    the extraction rejects returns converged=False with an all-NaN X; a
+    converged run raises its RankMismatch or SingularU1.  A plain
+    SolveOptions as `opts` means scaling="none".
     """
-    eye2n = np.eye(2 * problem.n)
     determinantal = isinstance(opts, SignOptions) and opts.scaling == "determinantal"
 
     def advance(h):
         lu = lu_factor(h)
         tau = _geometric_mean(lu.pivots) if determinantal else 1.0
-        hn = (h / tau + tau * lu.solve(eye2n)) / 2
+        hn = (h / tau + tau * lu.inverse()) / 2
         return hn, float(np.linalg.norm(hn - h) / max(np.linalg.norm(h), np.finfo(float).tiny))
 
     def step(state):
@@ -289,9 +293,19 @@ def newton_care_solve(
     """
     a, g, q = problem.A, problem.G, problem.Q
 
-    def step(x):
+    def step(state):  # state (X_k, ||X_k||), so each iterate is normed once
+        x = state[0]
         x_next = _kleinman_lyap_solve(a - g @ x, symmetrize(q + x @ g @ x))
-        return x_next, float(np.linalg.norm(x_next - x))
+        return (x_next, float(np.linalg.norm(x_next))), float(np.linalg.norm(x_next - x))
 
-    report, x = iterate(symmetrize(as_matrix(x0)), step, lambda x: care_residual(x, problem), opts, 100)
+    x0 = symmetrize(as_matrix(x0))
+    report, (x, _) = iterate(
+        (x0, float(np.linalg.norm(x0))),
+        step,
+        lambda s: _care_residual(s[0], s[1], problem),
+        opts,
+        100,
+        solution=lambda s: s[0],
+        solution_norm=lambda s: s[1],
+    )
     return DareSolution(X_plus=x, Y_plus=None, report=report)

@@ -70,22 +70,26 @@ class DareSolution:
 
 def dare_step(xk, problem: DareProblem) -> np.ndarray:
     """One step Q + A^* X_k (I + G X_k)^{-1} A, via the Hermitian middle
-    factor (I + X G)^{-1} X."""
-    x = as_matrix(xk)
+    factor (I + X G)^{-1} X.  X_k is not scanned; a non-finite X_k raises
+    SingularMatrix from the factorization."""
+    x = np.asarray(xk)
     a, g, q = problem.A, problem.G, problem.Q
     eye = np.eye(problem.n)
     middle = solve_linear(eye + x @ g, x)  # equals X (I+GX)^{-1}, Hermitian
     return symmetrize(q + a.conj().T @ middle @ a)
 
 
-def _dare_scale(x, problem: DareProblem) -> float:
-    return float(problem.norms["Q"] + np.linalg.norm(x) * (1.0 + problem.norms["A"] ** 2))
+def _dare_scale(nx: float, problem: DareProblem) -> float:
+    """The residual scale of an X with ||X||_F = nx."""
+    return float(problem.norms["Q"] + nx * (1.0 + problem.norms["A"] ** 2))
 
 
 def dare_residual(x, problem: DareProblem) -> float:
-    """Relative residual ||Q + A^*X(I+GX)^{-1}A - X|| / (||Q|| + ||X|| (1 + ||A||^2))."""
-    x = as_matrix(x)
-    return relative_residual(x, dare_step(x, problem), _dare_scale(x, problem))
+    """Relative residual ||Q + A^*X(I+GX)^{-1}A - X|| / (||Q|| + ||X|| (1 + ||A||^2)).
+
+    X is not scanned: a non-finite X raises SingularMatrix (`dare_step`)."""
+    x = np.asarray(x)
+    return relative_residual(x, dare_step(x, problem), _dare_scale(float(np.linalg.norm(x)), problem))
 
 
 def closed_loop_radius(x, problem: DareProblem) -> float:
@@ -103,7 +107,7 @@ def dare_fixed_point_solve(
     subspace iteration); does not produce the dual solution."""
     report = iterate_map(
         np.zeros_like(problem.Q),
-        lambda x: (dare_step(x, problem), _dare_scale(x, problem)),
+        lambda x, nx: (dare_step(x, problem), _dare_scale(nx, problem)),
         opts,
     )
     return DareSolution(X_plus=report.X, Y_plus=None, report=report)

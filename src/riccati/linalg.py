@@ -7,7 +7,13 @@ real is decided once, by value, in `Coefficients`, which also holds the
 Frobenius norms of a problem's coefficients, computed once per problem, for
 the residual scales every iterate reads.  Everything here is pure: no routine
 mutates its arguments.  LU and Cholesky factorizations call LAPACK
-(getrf/getrs, potrf) directly, without scipy's checking wrappers.
+(getrf/getrs/getri, potrf) directly, without scipy's checking wrappers.
+
+Data is checked where it enters: `as_matrix` scans for non-finite entries,
+and the problem classes, `hermitian_part`, `psd_check` and
+`spectral_radius_estimate` go through it.  The factorizations and `LU.solve`
+run on every iterate and do not scan; a NaN or inf entry makes ||M||_F
+non-finite, and the factorizations raise SingularMatrix on that.
 """
 
 from functools import cached_property
@@ -41,7 +47,9 @@ def as_matrix(a) -> np.ndarray:
 
     The field follows the dtype alone; entries are not scanned for a zero
     imaginary part (`Coefficients` does that once per problem).  Raises
-    ValueError on non-finite entries or wrong dimensionality.
+    ValueError on non-finite entries or wrong dimensionality.  This is the
+    check for data entering the library; the steps and residuals of the
+    solvers take `np.asarray` of the iterates they built and do not scan them.
     """
     m = np.asarray(a)
     m = np.asarray(m, dtype=np.complex128 if np.iscomplexobj(m) else np.float64)
@@ -106,7 +114,7 @@ class LU:
         return float(np.min(self.pivots))
 
     def solve(self, b, trans: int = 0) -> np.ndarray:
-        b = as_matrix(b)
+        b = np.asarray(b)
         if b.shape[0] != self.pivots.shape[0]:
             raise SingularMatrix("dimension mismatch between M and B")
         # the routine follows the field of both operands, as scipy.linalg.lu_solve's does
@@ -114,22 +122,41 @@ class LU:
         x, _ = getrs(self._lu, self._piv, b, trans=trans)
         return x
 
+    def inverse(self) -> np.ndarray:
+        """M^{-1} from the same factors (LAPACK getri)."""
+        getri = scipy.linalg.lapack.get_lapack_funcs("getri", (self._lu,))
+        # room for LAPACK's blocked kernel (block size 64); the default
+        # workspace runs the slower unblocked one
+        inv, _ = getri(self._lu, self._piv, lwork=64 * self._lu.shape[0])
+        return inv
+
+
+def _pivot_floor(m) -> float:
+    """PIVOT_RTOL * max(1, ||M||_F), the smallest pivot a factorization of M
+    may have.  A NaN or inf entry makes ||M||_F non-finite, which raises
+    SingularMatrix here: the norm does the finiteness check, with no scan."""
+    norm = float(np.linalg.norm(m))
+    if not norm < np.inf:
+        raise SingularMatrix("non-finite input: the matrix has a NaN or inf entry")
+    return PIVOT_RTOL * max(1.0, norm)
+
 
 def lu_factor(m) -> LU:
     """Factor M by Gaussian elimination with row pivoting (LAPACK getrf).
 
-    Raises SingularMatrix when M is not square or a pivot falls below
-    1e-14 * ||M||_F (scaled to max(1, .) so the exact zero matrix is also
-    rejected).
+    Raises SingularMatrix when M is not square, has a NaN or inf entry, or
+    a pivot falls below 1e-14 * ||M||_F (scaled to max(1, .) so the exact
+    zero matrix is also rejected).
     """
-    m = as_matrix(m)
-    if m.shape[0] != m.shape[1]:
+    m = np.asarray(m)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise SingularMatrix("coefficient matrix must be square")
+    floor = _pivot_floor(m)
     getrf = scipy.linalg.lapack.get_lapack_funcs("getrf", (m,))
     # an exact zero pivot (info > 0) fails the pivot test below
     factors, piv, _ = getrf(m)
     lu = LU(factors, piv)
-    if lu.min_pivot < PIVOT_RTOL * max(1.0, float(np.linalg.norm(m))):
+    if not lu.min_pivot >= floor:
         raise SingularMatrix("pivot below singularity threshold")
     return lu
 
@@ -162,19 +189,20 @@ class Cholesky:
 def cholesky_factor(m) -> Cholesky:
     """Factor Hermitian M as R^* R (LAPACK potrf), reading its upper triangle.
 
-    Raises SingularMatrix when M is not square, is not positive definite
-    (potrf fails), or a pivot r_ii^2 falls below the `lu_factor` threshold
-    1e-14 * max(1, ||M||_F).
+    Raises SingularMatrix when M is not square, has a NaN or inf entry, is
+    not positive definite (potrf fails), or a pivot r_ii^2 falls below the
+    `lu_factor` threshold 1e-14 * max(1, ||M||_F).
     """
-    m = as_matrix(m)
-    if m.shape[0] != m.shape[1]:
+    m = np.asarray(m)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise SingularMatrix("coefficient matrix must be square")
+    floor = _pivot_floor(m)
     potrf = scipy.linalg.lapack.get_lapack_funcs("potrf", (m,))
     r, info = potrf(m, lower=0, clean=0)
     if info != 0:
         raise SingularMatrix("matrix is not positive definite")
     chol = Cholesky(r)
-    if chol.min_pivot < PIVOT_RTOL * max(1.0, float(np.linalg.norm(m))):
+    if not chol.min_pivot >= floor:
         raise SingularMatrix("pivot below singularity threshold")
     return chol
 

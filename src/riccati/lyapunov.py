@@ -116,14 +116,21 @@ def cayley_to_stein(problem: LyapunovProblem, tau: complex) -> SteinProblem:
     return SteinProblem(A=c_of_a, Q=q_tilde)
 
 
-def lyap_residual(x, problem: LyapunovProblem) -> float:
-    """Relative residual ||A^*X + XA + Q|| / (||Q|| + 2 ||A|| ||X||)."""
-    x = as_matrix(x)
+def _lyap_residual(x, nx: float, problem: LyapunovProblem) -> float:
+    """`lyap_residual` of an X with ||X||_F = nx."""
     a, q = problem.A, problem.Q
     raw = float(np.linalg.norm(a.conj().T @ x + x @ a + q))
     if raw == 0.0:
         return 0.0
-    return raw / float(problem.norms["Q"] + 2 * problem.norms["A"] * np.linalg.norm(x))
+    return raw / float(problem.norms["Q"] + 2 * problem.norms["A"] * nx)
+
+
+def lyap_residual(x, problem: LyapunovProblem) -> float:
+    """Relative residual ||A^*X + XA + Q|| / (||Q|| + 2 ||A|| ||X||).
+
+    X is not scanned: a non-finite X gives a non-finite residual."""
+    x = np.asarray(x)
+    return _lyap_residual(x, float(np.linalg.norm(x)), problem)
 
 
 def adi_solve(
@@ -132,25 +139,28 @@ def adi_solve(
     """ADI iteration: per-shift Cayley reduction plus one Smith step.
 
     Shifts are reused cyclically when the iteration outlives the list; each
-    distinct shift is reduced once per call.
+    distinct shift is reduced once per call.  The state (X_k, k, ||X_k||)
+    carries the norm of its iterate for the residual scale and the overflow
+    guard.
     """
     reductions: dict[complex, SteinProblem] = {}
 
     def step(state):
-        x, k = state
+        x, k, _ = state
         tau = shifts.at(k)
         if tau not in reductions:
             reductions[tau] = cayley_to_stein(problem, tau)
         x_next = smith_step(x, reductions[tau])
-        return (x_next, k + 1), float(np.linalg.norm(x_next - x))
+        return (x_next, k + 1, float(np.linalg.norm(x_next))), float(np.linalg.norm(x_next - x))
 
     report, _ = iterate(
-        (np.zeros_like(problem.Q), 0),
+        (np.zeros_like(problem.Q), 0, 0.0),
         step,
-        lambda s: lyap_residual(s[0], problem),
+        lambda s: _lyap_residual(s[0], s[2], problem),
         opts,
         DEFAULT_BASIC_MAX_ITER,
         solution=lambda s: s[0],
+        solution_norm=lambda s: s[2],
     )
     return report
 

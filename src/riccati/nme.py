@@ -92,9 +92,10 @@ class SpectralFactorization:
             raise ValueError("right factor is not stable: rho(Y) > 1")
 
 
-def _nme_map(x, problem: NmeProblem):
+def _nme_map(x, nx: float, problem: NmeProblem):
     """(Q - A^* X^{-1} A re-symmetrized, residual scale of X) from one
-    Cholesky factorization X = R^* R: with Y = R^{-*} A, A^* X^{-1} A = Y^* Y.
+    Cholesky factorization X = R^* R: with Y = R^{-*} A, A^* X^{-1} A = Y^* Y;
+    nx is ||X||_F.
 
     The scale term ||A||^2 ||X^{-1}|| is approximated through the smallest
     pivot r_ii^2 of that factorization.  An X that is not positive definite
@@ -111,12 +112,14 @@ def _nme_map(x, problem: NmeProblem):
     x_next = symmetrize(q - y.conj().T @ y)
     inv_proxy = 1.0 / chol.min_pivot
     norms = problem.norms
-    return x_next, float(norms["Q"] + np.linalg.norm(x) + norms["A"] ** 2 * inv_proxy)
+    return x_next, float(norms["Q"] + nx + norms["A"] ** 2 * inv_proxy)
 
 
 def nme_step(xk, problem: NmeProblem) -> np.ndarray:
-    """One fixed-point step Q - A^* X_k^{-1} A, re-symmetrized."""
-    return _nme_map(as_matrix(xk), problem)[0]
+    """One fixed-point step Q - A^* X_k^{-1} A, re-symmetrized.  X_k is not
+    scanned; a non-finite X_k raises SingularMatrix from the factorization."""
+    # the step discards the scale, so ||X_k|| is not computed for it
+    return _nme_map(np.asarray(xk), 0.0, problem)[0]
 
 
 def nme_residual(x, problem: NmeProblem) -> float:
@@ -124,10 +127,11 @@ def nme_residual(x, problem: NmeProblem) -> float:
 
     The denominator term ||A||^2 ||X^{-1}|| is approximated through the
     smallest pivot of the Cholesky factorization of X; an X that is not
-    positive definite raises SingularMatrix.
+    positive definite, or is not finite (X is not scanned), raises
+    SingularMatrix.
     """
-    x = as_matrix(x)
-    return relative_residual(x, *_nme_map(x, problem))
+    x = np.asarray(x)
+    return relative_residual(x, *_nme_map(x, float(np.linalg.norm(x)), problem))
 
 
 def nme_fixed_point_solve(
@@ -138,7 +142,7 @@ def nme_fixed_point_solve(
     solution.  Critical spectra surface as sublinear rate_estimate -> 1.  An
     iterate that is not positive definite raises SingularMatrix: the
     equation then has no positive definite solution."""
-    return iterate_map(problem.Q.copy(), lambda x: _nme_map(x, problem), opts, first_iteration=1)
+    return iterate_map(problem.Q.copy(), lambda x, nx: _nme_map(x, nx, problem), opts, first_iteration=1)
 
 
 def cr_step(state: CrState) -> CrState:

@@ -1,5 +1,6 @@
 """Solve options and convergence reports shared by all iterations."""
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -88,6 +89,7 @@ def iterate(
     default_max_iter: int,
     *,
     solution=lambda state: state,
+    solution_norm=None,
     stop=None,
     first_iteration: int = 0,
     always_step: bool = False,
@@ -99,9 +101,14 @@ def iterate(
     residual is <= opts.tol (converged), is non-finite or ||X|| > 1e150, at
     max_iter, and on `stop(state, update)` if given (a doubling iteration's
     structural stop), else on residual stagnation (successive residuals within
-    STAGNATION_TOL).  `first_iteration` is the count of the start;
-    `always_step` steps even when the start meets tol.
+    STAGNATION_TOL).  `solution_norm(state)` is ||X|| for that overflow guard;
+    a state that carries the norm its residual scale already read passes it
+    here, so each iterate is normed once (the default norms solution(state)).
+    `first_iteration` is the count of the start; `always_step` steps even
+    when the start meets tol.  Nothing here scans an iterate's entries: a
+    non-finite iterate shows as a non-finite residual or norm.
     """
+    norm_of = solution_norm or (lambda s: np.linalg.norm(solution(s)))
     max_iter = opts.resolve_max_iter(default_max_iter)
     t0 = time.perf_counter_ns()
     history = [residual(state)]
@@ -119,7 +126,7 @@ def iterate(
             res = residual(state)
             history.append(res)
             times.append(time.perf_counter_ns() - t0)
-            if not np.isfinite(res) or np.linalg.norm(solution(state)) > NORM_OVERFLOW:
+            if not math.isfinite(res) or norm_of(state) > NORM_OVERFLOW:
                 break
             if res <= opts.tol:
                 converged = True
@@ -141,18 +148,20 @@ def iterate(
 
 
 def iterate_map(x0, fmap, opts: SolveOptions, first_iteration: int = 0) -> SolveReport:
-    """`iterate` X_{k+1} = F(X_k) from X_0 = x0, where fmap(X) returns
-    (F(X), scale(X)).
+    """`iterate` X_{k+1} = F(X_k) from X_0 = x0, where fmap(X, ||X||_F)
+    returns (F(X), scale(X)).
 
     The state carries F(X_k) ahead of the step: it is the next iterate, and
     ||F(X_k) - X_k|| is both the update norm and, over scale(X_k), the
     residual of X_k.  So F is evaluated once per iterate, and a k-step run
-    evaluates it k + 1 times.
+    evaluates it k + 1 times.  ||X_k|| is computed once, for the scale and
+    the overflow guard.
     """
 
     def ahead(x):
-        x_next, scale = fmap(x)
-        return x, x_next, float(np.linalg.norm(x_next - x)), scale
+        nx = float(np.linalg.norm(x))
+        x_next, scale = fmap(x, nx)
+        return x, x_next, float(np.linalg.norm(x_next - x)), scale, nx
 
     report, _ = iterate(
         ahead(x0),
@@ -161,6 +170,7 @@ def iterate_map(x0, fmap, opts: SolveOptions, first_iteration: int = 0) -> Solve
         opts,
         DEFAULT_BASIC_MAX_ITER,
         solution=lambda s: s[0],
+        solution_norm=lambda s: s[4],
         first_iteration=first_iteration,
     )
     return report

@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import Coefficients, as_matrix, symmetrize
+from .linalg import Coefficients, symmetrize
 from .reporting import (
     DEFAULT_DOUBLING_MAX_ITER,
     NORM_OVERFLOW,
@@ -36,20 +36,23 @@ class SteinProblem(Coefficients):
 
 
 def smith_step(xk, problem: SteinProblem) -> np.ndarray:
-    """One fixed-point step Q + A^* X_k A, re-symmetrized."""
+    """One fixed-point step Q + A^* X_k A, re-symmetrized; X_k is not
+    scanned for non-finite entries."""
     a = problem.A
-    return symmetrize(problem.Q + a.conj().T @ as_matrix(xk) @ a)
+    return symmetrize(problem.Q + a.conj().T @ np.asarray(xk) @ a)
 
 
-def _stein_scale(x, problem: SteinProblem) -> float:
-    nx = float(np.linalg.norm(x))
+def _stein_scale(nx: float, problem: SteinProblem) -> float:
+    """The residual scale of an X with ||X||_F = nx."""
     return float(problem.norms["Q"] + problem.norms["A"] ** 2 * nx + nx)
 
 
 def stein_residual(x, problem: SteinProblem) -> float:
-    """Relative residual ||X - A^*XA - Q|| / (||Q|| + ||A||^2 ||X|| + ||X||)."""
-    x = as_matrix(x)
-    return relative_residual(x, smith_step(x, problem), _stein_scale(x, problem))
+    """Relative residual ||X - A^*XA - Q|| / (||Q|| + ||A||^2 ||X|| + ||X||).
+
+    X is not scanned: a non-finite X gives a non-finite residual."""
+    x = np.asarray(x)
+    return relative_residual(x, smith_step(x, problem), _stein_scale(float(np.linalg.norm(x)), problem))
 
 
 def smith_solve(problem: SteinProblem, opts: SolveOptions = SolveOptions()) -> SolveReport:
@@ -61,7 +64,7 @@ def smith_solve(problem: SteinProblem, opts: SolveOptions = SolveOptions()) -> S
     """
     return iterate_map(
         np.zeros_like(problem.Q),
-        lambda x: (smith_step(x, problem), _stein_scale(x, problem)),
+        lambda x, nx: (smith_step(x, problem), _stein_scale(nx, problem)),
         opts,
     )
 

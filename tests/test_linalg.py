@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -5,8 +6,11 @@ import pytest
 import scipy.linalg
 from hypothesis import given, strategies as st
 
+from riccati import care_residual, dare_residual, lyap_residual, nme_residual, stein_residual
 from riccati.dare import DareProblem
-from riccati.errors import SingularMatrix
+from riccati.errors import RiccatiError, SingularMatrix
+from riccati.generators import GeneratorSpec, gen_problem
+from riccati.io import to_problem
 from riccati.linalg import (
     as_matrix,
     cholesky_factor,
@@ -236,6 +240,86 @@ class TestLuFactor:
     def test_solve_dimension_mismatch_raises(self):
         with pytest.raises(SingularMatrix, match="dimension mismatch"):
             lu_factor(np.eye(3)).solve(np.ones((2, 1)))
+
+
+class TestLuInverse:
+    @pytest.mark.parametrize("m_complex", [False, True], ids=["real", "complex"])
+    def test_inverts_in_the_field_of_m(self, m_complex):
+        rng = np.random.default_rng(5)
+        m = rng.standard_normal((9, 9)) + (1j * rng.standard_normal((9, 9)) if m_complex else 0)
+        inv = lu_factor(m).inverse()
+        assert inv.dtype == m.dtype
+        assert np.linalg.norm(m @ inv - np.eye(9)) <= 1e-12 * np.linalg.norm(m) * np.linalg.norm(inv)
+
+    def test_leaves_the_factors_unchanged(self):
+        rng = np.random.default_rng(6)
+        m = rng.standard_normal((5, 5))
+        lu = lu_factor(m)
+        before = lu.solve(np.eye(5))
+        lu.inverse()
+        assert lu.solve(np.eye(5)).tobytes() == before.tobytes()
+
+
+class TestNonFiniteInput:
+    """The factorizations and residuals do not scan their input for NaN or
+    inf; what such an entry gives is a SingularMatrix or a non-finite
+    number, never a bare ValueError."""
+
+    @pytest.mark.parametrize("factor", [lu_factor, cholesky_factor])
+    @pytest.mark.parametrize(
+        "bad", [np.nan, np.inf, -np.inf, complex(1.0, np.inf)], ids=["nan", "inf", "-inf", "inf-imag"]
+    )
+    @pytest.mark.parametrize("where", [(0, 0), (0, 1), (1, 0), (1, 1)])
+    def test_factorization_raises(self, factor, bad, where):
+        m = np.eye(2, dtype=type(bad))
+        m[where] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularMatrix, match="non-finite input"):
+                factor(m)
+
+    @pytest.mark.parametrize("factor", [lu_factor, cholesky_factor])
+    def test_one_by_one_inf(self, factor):
+        # the pivot test alone would pass: inf >= 1e-14 * inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularMatrix, match="non-finite input"):
+                factor([[np.inf]])
+
+    RESIDUALS = {
+        "stein": stein_residual,
+        "lyapunov": lyap_residual,
+        "dare": dare_residual,
+        "care": care_residual,
+        "nme": nme_residual,
+    }
+
+    @staticmethod
+    def _residual_of(kind, bad):
+        p = to_problem(gen_problem(GeneratorSpec(kind=kind, n=4, seed=0)))
+        x = np.eye(4)
+        x[1, 2] = bad
+        try:
+            res = TestNonFiniteInput.RESIDUALS[kind](x, p)
+        except RiccatiError:
+            return None
+        return res
+
+    @pytest.mark.parametrize("kind", list(RESIDUALS))
+    def test_residual_of_nan(self, kind):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = self._residual_of(kind, np.nan)
+        assert res is None or not math.isfinite(res)
+
+    @pytest.mark.parametrize("kind", list(RESIDUALS))
+    def test_residual_of_inf(self, kind):
+        # IEEE arithmetic turns inf into NaN (inf - inf, 0 * inf), and numpy
+        # reports that as an invalid value; the residual does not scan X, so
+        # that NaN is what it returns
+        with np.errstate(invalid="ignore"):
+            res = self._residual_of(kind, np.inf)
+        assert res is None or not math.isfinite(res)
 
 
 class TestCholeskyFactor:

@@ -1,8 +1,10 @@
 """Each step does its work once: one factorization per matrix, one
 evaluation of the fixed-point map per iterate, one Cayley reduction per
-ADI shift, one norm per problem coefficient."""
+ADI shift, one norm per problem coefficient and per iterate, and no
+finiteness scan of an iterate the solver built itself."""
 
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from riccati import (
     care_sda_solve,
     care_to_dare,
     cayley_to_stein,
+    cyclic_reduction_solve,
     dare_fixed_point_solve,
     dare_residual,
     newton_care_solve,
@@ -172,6 +175,64 @@ class TestCoefficientNormsOncePerProblem:
         reports = [solve(p), solve(p)]
         assert all(r.converged and r.iterations > 1 for r in reports)
         assert max(counts) <= 1
+
+
+class TestNoScanPerIterate:
+    """Data is checked where it enters (the problem classes); the steps and
+    residuals do not scan the iterates a solve builds, so the number of
+    np.isfinite calls does not grow with the iteration count."""
+
+    @pytest.mark.parametrize(
+        "kind, solve",
+        [
+            ("stein", smith_solve),
+            ("dare", lambda p, o: dare_fixed_point_solve(p, o).report),
+            ("nme", nme_fixed_point_solve),
+            ("lyapunov", lambda p, o: adi_solve(p, ShiftSequence((1.5,)), o)),
+            ("dare", lambda p, o: sda_solve(p, o).report),
+            ("nme", cyclic_reduction_solve),
+        ],
+        ids=["smith", "dare-fixed-point", "nme-fixed-point", "adi", "sda", "cyclic-reduction"],
+    )
+    def test_isfinite_calls_do_not_grow(self, monkeypatch, kind, solve):
+        p = instance(kind)
+        calls = counting(monkeypatch, np, "isfinite")
+        counts, iterations = [], []
+        for budget in (1, 4):
+            calls.clear()
+            # a tol no iterate meets, so each run spends its budget
+            report = solve(p, SolveOptions(tol=1e-300, max_iter=budget))
+            counts.append(len(calls))
+            iterations.append(report.iterations)
+        assert iterations == [1, 4]
+        assert counts[0] == counts[1]
+
+
+class TestOneNormPerIterate:
+    @pytest.mark.parametrize(
+        "kind, solve",
+        [
+            ("stein", smith_solve),
+            ("lyapunov", lambda p: adi_solve(p, ShiftSequence((1.5,)))),
+            ("dare", lambda p: dare_fixed_point_solve(p).report),
+        ],
+        ids=["smith", "adi", "dare-fixed-point"],
+    )
+    def test_no_array_normed_twice(self, monkeypatch, kind, solve):
+        # the residual scale and the driver's overflow guard read one norm
+        # of each iterate; every normed array is held, so no id is reused
+        p = instance(kind, n=16, seed=0)
+        normed = []
+        norm = np.linalg.norm
+
+        def holding_norm(x, *args, **kwargs):
+            normed.append(x)
+            return norm(x, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "norm", holding_norm)
+        report = solve(p)
+        assert report.converged and report.iterations > 2
+        assert max(Counter(id(x) for x in normed).values()) == 1
 
 
 class TestOneReductionPerShift:
