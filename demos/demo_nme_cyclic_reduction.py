@@ -12,6 +12,7 @@ from riccati import (
     SolveOptions,
     cyclic_reduction_solve,
     nme_fixed_point_solve,
+    nme_residual,
     spectral_factorize,
     uqme_residual,
 )
@@ -29,6 +30,8 @@ def main():
           f"rate estimate {basic.rate_estimate:.4f} (sublinear)")
     print(f"  cyclic red.: {doubling.iterations:5d} iterations, "
           f"rate estimate {doubling.rate_estimate:.4f} (linear, rate 1/2)")
+    print(f"  residuals:   fixed point {nme_residual(basic.X, critical):.3e}, "
+          f"cyclic reduction {nme_residual(doubling.X, critical):.3e}")
 
     regular = NmeProblem(A=[[1.0]], Q=[[2.5]])
     fact = spectral_factorize(regular, SolveOptions(tol=1e-14))

@@ -155,7 +155,7 @@ def care_sda_solve(
             pass
     else:
         dare_problem = care_to_dare(problem, taus[-1])
-    return sda_solve(dare_problem, opts, lambda q: care_residual(q, problem))
+    return sda_solve(dare_problem, opts, lambda q, nq: _care_residual(q, nq, problem))
 
 
 def _geometric_mean(pivots) -> float:
@@ -196,7 +196,7 @@ def sign_solve(problem: CareProblem, opts: SolveOptions = SignOptions()) -> Dare
     report, (h, _) = iterate(
         advance(hamiltonian(problem)),
         step,
-        lambda s: s[1],
+        lambda s, _: s[1],
         SolveOptions(tol=min(opts.tol, _SIGN_MAX_TOL), max_iter=opts.max_iter),
         100,
         solution=lambda s: s[0],
@@ -266,7 +266,7 @@ def _kleinman_lyap_solve(closed_loop, rhs) -> np.ndarray:
     report, (ak, qk) = iterate(
         start,
         squared_smith_step,
-        lambda s: float(np.linalg.norm(s[0])),
+        lambda s, _: float(np.linalg.norm(s[0])),
         _INNER_OPTS,
         DEFAULT_DOUBLING_MAX_ITER,
         solution=lambda s: s[1],
@@ -293,19 +293,15 @@ def newton_care_solve(
     """
     a, g, q = problem.A, problem.G, problem.Q
 
-    def step(state):  # state (X_k, ||X_k||), so each iterate is normed once
-        x = state[0]
+    def step(x):
         x_next = _kleinman_lyap_solve(a - g @ x, symmetrize(q + x @ g @ x))
-        return (x_next, float(np.linalg.norm(x_next))), float(np.linalg.norm(x_next - x))
+        return x_next, float(np.linalg.norm(x_next - x))
 
-    x0 = symmetrize(as_matrix(x0))
-    report, (x, _) = iterate(
-        (x0, float(np.linalg.norm(x0))),
+    report, x = iterate(
+        symmetrize(as_matrix(x0)),
         step,
-        lambda s: _care_residual(s[0], s[1], problem),
+        lambda x, nx: _care_residual(x, nx, problem),
         opts,
         100,
-        solution=lambda s: s[0],
-        solution_norm=lambda s: s[1],
     )
     return DareSolution(X_plus=x, Y_plus=None, report=report)

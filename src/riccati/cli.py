@@ -188,7 +188,7 @@ def _verify_checks(pf) -> tuple[list, str | None]:
         # S from the raw matrices, so indefinite-Q instances (like the
         # unit-circle example) still get the spectral checks
         s = build_symplectic(*(pf.matrices[k] for k in ("A", "G", "Q")))
-        rows.append(("symplectic-pairing", oracle.symplectic_pairing_defect(s), 1e-6))
+        rows.append(("symplectic-structure", oracle.symplectic_structure_defect(s), 1e-12))
         try:
             subspace_x = oracle.invariant_subspace_solve(s, "inside_unit_circle")
         except RegionCountMismatch:

@@ -17,13 +17,7 @@ from .linalg import (
     spectral_radius_estimate,
     symmetrize,
 )
-from .reporting import (
-    SolveOptions,
-    SolveReport,
-    iterate_doubling,
-    iterate_map,
-    relative_residual,
-)
+from .reporting import SolveOptions, SolveReport, iterate_doubling, iterate_map, relative_residual
 
 __all__ = [
     "DareProblem",
@@ -84,17 +78,22 @@ def _dare_scale(nx: float, problem: DareProblem) -> float:
     return float(problem.norms["Q"] + nx * (1.0 + problem.norms["A"] ** 2))
 
 
+def _dare_residual(x, nx: float, problem: DareProblem) -> float:
+    """`dare_residual` of an X with ||X||_F = nx."""
+    return relative_residual(x, dare_step(x, problem), _dare_scale(nx, problem))
+
+
 def dare_residual(x, problem: DareProblem) -> float:
     """Relative residual ||Q + A^*X(I+GX)^{-1}A - X|| / (||Q|| + ||X|| (1 + ||A||^2)).
 
     X is not scanned: a non-finite X raises SingularMatrix (`dare_step`)."""
     x = np.asarray(x)
-    return relative_residual(x, dare_step(x, problem), _dare_scale(float(np.linalg.norm(x)), problem))
+    return _dare_residual(x, float(np.linalg.norm(x)), problem)
 
 
 def closed_loop_radius(x, problem: DareProblem) -> float:
     """Spectral-radius estimate of the closed loop (I + G X)^{-1} A, after
-    30 squarings.  A diagnostic computed on demand: no solver calls it."""
+    30 squarings."""
     eye = np.eye(problem.n)
     k = solve_linear(eye + problem.G @ as_matrix(x), problem.A)
     return spectral_radius_estimate(k, 30)
@@ -107,7 +106,7 @@ def dare_fixed_point_solve(
     subspace iteration); does not produce the dual solution."""
     report = iterate_map(
         np.zeros_like(problem.Q),
-        lambda x, nx: (dare_step(x, problem), _dare_scale(nx, problem)),
+        lambda x: (dare_step(x, problem), lambda nx: _dare_scale(nx, problem)),
         opts,
     )
     return DareSolution(X_plus=report.X, Y_plus=None, report=report)
@@ -135,16 +134,15 @@ def sda_solve(problem: DareProblem, opts: SolveOptions = SolveOptions(), residua
 
     The Q_k converge monotonically (Loewner order) to X_plus = X_{2^k} in the
     limit, and the G_k to the maximal solution Y_plus of the dual equation
-    obtained by swapping A with A^* and G with Q.  `residual(Q_k)` measures
-    Q_k in the equation the caller is actually solving; it defaults to the
-    DARE residual.
+    obtained by swapping A with A^* and G with Q.  `residual(Q_k, ||Q_k||_F)`
+    measures Q_k in the equation the caller is actually solving, given the
+    norm `iterate` takes once per iterate; it defaults to the DARE residual.
     """
     report, state = iterate_doubling(
         DoublingState(Ak=problem.A.copy(), Gk=problem.G.copy(), Qk=problem.Q.copy(), k=0),
         sda_step,
-        residual or (lambda q: dare_residual(q, problem)),
+        residual or (lambda q, nq: _dare_residual(q, nq, problem)),
         opts,
-        lambda s: float(np.linalg.norm(s.Qk)),
     )
     return DareSolution(X_plus=state.Qk, Y_plus=state.Gk, report=report)
 

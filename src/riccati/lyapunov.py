@@ -139,28 +139,25 @@ def adi_solve(
     """ADI iteration: per-shift Cayley reduction plus one Smith step.
 
     Shifts are reused cyclically when the iteration outlives the list; each
-    distinct shift is reduced once per call.  The state (X_k, k, ||X_k||)
-    carries the norm of its iterate for the residual scale and the overflow
-    guard.
+    distinct shift is reduced once per call.
     """
     reductions: dict[complex, SteinProblem] = {}
 
     def step(state):
-        x, k, _ = state
+        x, k = state
         tau = shifts.at(k)
         if tau not in reductions:
             reductions[tau] = cayley_to_stein(problem, tau)
         x_next = smith_step(x, reductions[tau])
-        return (x_next, k + 1, float(np.linalg.norm(x_next))), float(np.linalg.norm(x_next - x))
+        return (x_next, k + 1), float(np.linalg.norm(x_next - x))
 
     report, _ = iterate(
-        (np.zeros_like(problem.Q), 0, 0.0),
+        (np.zeros_like(problem.Q), 0),
         step,
-        lambda s: _lyap_residual(s[0], s[2], problem),
+        lambda s, nx: _lyap_residual(s[0], nx, problem),
         opts,
         DEFAULT_BASIC_MAX_ITER,
         solution=lambda s: s[0],
-        solution_norm=lambda s: s[2],
     )
     return report
 

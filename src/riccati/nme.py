@@ -15,13 +15,7 @@ from .linalg import (
     spectral_radius_estimate,
     symmetrize,
 )
-from .reporting import (
-    SolveOptions,
-    SolveReport,
-    iterate_doubling,
-    iterate_map,
-    relative_residual,
-)
+from .reporting import SolveOptions, SolveReport, iterate_doubling, iterate_map, relative_residual
 
 __all__ = [
     "NmeProblem",
@@ -92,10 +86,21 @@ class SpectralFactorization:
             raise ValueError("right factor is not stable: rho(Y) > 1")
 
 
-def _nme_map(x, nx: float, problem: NmeProblem):
-    """(Q - A^* X^{-1} A re-symmetrized, residual scale of X) from one
-    Cholesky factorization X = R^* R: with Y = R^{-*} A, A^* X^{-1} A = Y^* Y;
-    nx is ||X||_F.
+def _definite_factor(m, what: str):
+    """cholesky_factor(m), with SingularMatrix(what) for an m that is not
+    positive definite; a non-finite m keeps the factorization's reason."""
+    try:
+        return cholesky_factor(m)
+    except SingularMatrix:
+        if not np.linalg.norm(m) < np.inf:
+            raise
+        raise SingularMatrix(what) from None
+
+
+def _nme_map(x, problem: NmeProblem):
+    """(Q - A^* X^{-1} A re-symmetrized, residual scale of X as a function of
+    ||X||_F) from one Cholesky factorization X = R^* R: with Y = R^{-*} A,
+    A^* X^{-1} A = Y^* Y.
 
     The scale term ||A||^2 ||X^{-1}|| is approximated through the smallest
     pivot r_ii^2 of that factorization.  An X that is not positive definite
@@ -104,22 +109,24 @@ def _nme_map(x, nx: float, problem: NmeProblem):
     exists.
     """
     a, q = problem.A, problem.Q
-    try:
-        chol = cholesky_factor(x)
-    except SingularMatrix:
-        raise SingularMatrix("NME iterate X is not positive definite") from None
+    chol = _definite_factor(x, "NME iterate X is not positive definite")
     y = chol.half_solve(a)
     x_next = symmetrize(q - y.conj().T @ y)
     inv_proxy = 1.0 / chol.min_pivot
     norms = problem.norms
-    return x_next, float(norms["Q"] + nx + norms["A"] ** 2 * inv_proxy)
+    return x_next, lambda nx: float(norms["Q"] + nx + norms["A"] ** 2 * inv_proxy)
 
 
 def nme_step(xk, problem: NmeProblem) -> np.ndarray:
     """One fixed-point step Q - A^* X_k^{-1} A, re-symmetrized.  X_k is not
     scanned; a non-finite X_k raises SingularMatrix from the factorization."""
-    # the step discards the scale, so ||X_k|| is not computed for it
-    return _nme_map(np.asarray(xk), 0.0, problem)[0]
+    return _nme_map(np.asarray(xk), problem)[0]
+
+
+def _nme_residual(x, nx: float, problem: NmeProblem) -> float:
+    """`nme_residual` of an X with ||X||_F = nx."""
+    x_next, scale = _nme_map(x, problem)
+    return relative_residual(x, x_next, scale(nx))
 
 
 def nme_residual(x, problem: NmeProblem) -> float:
@@ -131,7 +138,7 @@ def nme_residual(x, problem: NmeProblem) -> float:
     SingularMatrix.
     """
     x = np.asarray(x)
-    return relative_residual(x, *_nme_map(x, float(np.linalg.norm(x)), problem))
+    return _nme_residual(x, float(np.linalg.norm(x)), problem)
 
 
 def nme_fixed_point_solve(
@@ -142,7 +149,7 @@ def nme_fixed_point_solve(
     solution.  Critical spectra surface as sublinear rate_estimate -> 1.  An
     iterate that is not positive definite raises SingularMatrix: the
     equation then has no positive definite solution."""
-    return iterate_map(problem.Q.copy(), lambda x, nx: _nme_map(x, nx, problem), opts, first_iteration=1)
+    return iterate_map(problem.Q.copy(), lambda x: _nme_map(x, problem), opts, first_iteration=1)
 
 
 def cr_step(state: CrState) -> CrState:
@@ -155,12 +162,7 @@ def cr_step(state: CrState) -> CrState:
     """
     ak, qk, uk = state.Ak, state.Qk, state.Uk
     n = ak.shape[0]
-    try:
-        chol = cholesky_factor(uk)
-    except SingularMatrix:
-        raise SingularMatrix(
-            "cyclic-reduction pivot block U_k is singular or not positive definite"
-        ) from None
+    chol = _definite_factor(uk, "cyclic-reduction pivot block U_k is singular or not positive definite")
     both = chol.half_solve(np.hstack([ak, ak.conj().T]))
     y, z = both[:, :n], both[:, n:]
     yy = y.conj().T @ y
@@ -178,14 +180,11 @@ def cyclic_reduction_solve(
     error halves each step; rate_estimate reports it.  A Q_k or U_k that is
     not positive definite raises SingularMatrix: the equation then has no
     positive definite solution."""
-    # unlike SDA, the floor scales with ||Q||, not ||Q_k||
-    q_scale = float(problem.norms["Q"])
     report, _ = iterate_doubling(
         CrState(Ak=problem.A.copy(), Qk=problem.Q.copy(), Uk=problem.Q.copy(), k=0),
         cr_step,
-        lambda q: nme_residual(q, problem),
+        lambda q, nq: _nme_residual(q, nq, problem),
         opts,
-        lambda s: q_scale,
     )
     return report
 

@@ -40,6 +40,7 @@ __all__ = [
     "sign_relation_check",
     "tridiag_schur_oracle",
     "symplectic_pairing_defect",
+    "symplectic_structure_defect",
     "hamiltonian_pairing_defect",
     "eigenvalues",
 ]
@@ -217,6 +218,15 @@ def symplectic_pairing_defect(s) -> float:
     """Max distance from the spectrum to its image under lambda -> 1/conj(lambda)."""
     eigs = eigenvalues(s)
     return _pairing_defect(eigs, 1.0 / np.conj(eigs))
+
+
+def symplectic_structure_defect(s) -> float:
+    """||S^*JS - J||_F / ||S||_F^2 with J = [0 I; -I 0].  S^*JS = J pairs the
+    spectrum exactly, and unlike `symplectic_pairing_defect` this computes no
+    eigenvalue, whose accuracy for a non-normal S degrades with n."""
+    s = as_matrix(s)
+    j = np.kron([[0.0, 1.0], [-1.0, 0.0]], np.eye(s.shape[0] // 2))
+    return float(np.linalg.norm(s.conj().T @ j @ s - j) / np.linalg.norm(s) ** 2)
 
 
 def hamiltonian_pairing_defect(h) -> float:

@@ -51,8 +51,6 @@ class SolveReport:
     successive iterate-update-norm ratios over the last five recorded steps;
     update norms rather than residuals make the estimate meaningful also in
     critical cases where the residual shrinks quadratically in the error.
-    Diagnostics that no caller of a solve reads, such as the DARE closed-loop
-    radius, are not computed here; `dare.closed_loop_radius` gives it on demand.
     """
 
     X: np.ndarray
@@ -89,29 +87,27 @@ def iterate(
     default_max_iter: int,
     *,
     solution=lambda state: state,
-    solution_norm=None,
     stop=None,
     first_iteration: int = 0,
     always_step: bool = False,
 ):
     """Run state_{k+1}, update_k = step(state_k); return (SolveReport, last state).
 
-    `residual(state)` is recorded for the start and after each step, and
-    `solution(state)` is the iterate X the state stands for.  Stops when the
+    `solution(state)` is the iterate X the state stands for.  It is normed
+    once per recorded iterate, the start included, and this loop hands
+    ||X||_F to `residual(state, ||X||)`, whose value is recorded, to the
+    overflow guard and to `stop(state, update, ||X||)`.  Stops when the
     residual is <= opts.tol (converged), is non-finite or ||X|| > 1e150, at
-    max_iter, and on `stop(state, update)` if given (a doubling iteration's
-    structural stop), else on residual stagnation (successive residuals within
-    STAGNATION_TOL).  `solution_norm(state)` is ||X|| for that overflow guard;
-    a state that carries the norm its residual scale already read passes it
-    here, so each iterate is normed once (the default norms solution(state)).
-    `first_iteration` is the count of the start; `always_step` steps even
-    when the start meets tol.  Nothing here scans an iterate's entries: a
-    non-finite iterate shows as a non-finite residual or norm.
+    max_iter, and on `stop` if given (a doubling iteration's structural
+    stop), else on residual stagnation (successive residuals within
+    STAGNATION_TOL).  `first_iteration` is the count of the start;
+    `always_step` steps even when the start meets tol.  Nothing here scans
+    an iterate's entries: a non-finite iterate shows as a non-finite
+    residual or norm.
     """
-    norm_of = solution_norm or (lambda s: np.linalg.norm(solution(s)))
     max_iter = opts.resolve_max_iter(default_max_iter)
     t0 = time.perf_counter_ns()
-    history = [residual(state)]
+    history = [residual(state, float(np.linalg.norm(solution(state))))]
     times = [time.perf_counter_ns() - t0]
     updates: list[float] = []
     converged = history[0] <= opts.tol and not always_step
@@ -123,10 +119,11 @@ def iterate(
             state, update = step(state)
             updates.append(update)
             iterations += 1
-            res = residual(state)
+            nx = float(np.linalg.norm(solution(state)))
+            res = residual(state, nx)
             history.append(res)
             times.append(time.perf_counter_ns() - t0)
-            if not math.isfinite(res) or norm_of(state) > NORM_OVERFLOW:
+            if not math.isfinite(res) or nx > NORM_OVERFLOW:
                 break
             if res <= opts.tol:
                 converged = True
@@ -134,7 +131,7 @@ def iterate(
             if stop is None:
                 if abs(history[-2] - res) <= STAGNATION_TOL:
                     break
-            elif stop(state, update):
+            elif stop(state, update, nx):
                 break
     report = SolveReport(
         X=solution(state),
@@ -148,57 +145,54 @@ def iterate(
 
 
 def iterate_map(x0, fmap, opts: SolveOptions, first_iteration: int = 0) -> SolveReport:
-    """`iterate` X_{k+1} = F(X_k) from X_0 = x0, where fmap(X, ||X||_F)
-    returns (F(X), scale(X)).
+    """`iterate` X_{k+1} = F(X_k) from X_0 = x0, where fmap(X) returns
+    (F(X), scale) and scale(||X||_F) is the residual scale of X.
 
     The state carries F(X_k) ahead of the step: it is the next iterate, and
-    ||F(X_k) - X_k|| is both the update norm and, over scale(X_k), the
-    residual of X_k.  So F is evaluated once per iterate, and a k-step run
-    evaluates it k + 1 times.  ||X_k|| is computed once, for the scale and
-    the overflow guard.
+    ||F(X_k) - X_k|| is both the update norm and, over the scale read at
+    `iterate`'s ||X_k||, the residual of X_k.  So F is evaluated once per
+    iterate, and a k-step run evaluates it k + 1 times.
     """
 
     def ahead(x):
-        nx = float(np.linalg.norm(x))
-        x_next, scale = fmap(x, nx)
-        return x, x_next, float(np.linalg.norm(x_next - x)), scale, nx
+        x_next, scale = fmap(x)
+        return x, x_next, float(np.linalg.norm(x_next - x)), scale
 
     report, _ = iterate(
         ahead(x0),
         lambda s: (ahead(s[1]), s[2]),
-        lambda s: _ratio(s[2], s[3]),
+        lambda s, nx: _ratio(s[2], s[3](nx)),
         opts,
         DEFAULT_BASIC_MAX_ITER,
         solution=lambda s: s[0],
-        solution_norm=lambda s: s[4],
         first_iteration=first_iteration,
     )
     return report
 
 
-def iterate_doubling(state, step, residual, opts: SolveOptions, floor_scale):
+def iterate_doubling(state, step, residual, opts: SolveOptions):
     """`iterate` a doubling state with fields Ak and Qk, where step(state) is
     the next state and Q_k is the iterate it stands for.
 
-    The update is ||Q_{k+1} - Q_k|| and the residual is residual(Q_k).  The
-    structural stop is ||A_k||^2 or the update below 1e-4 tol
-    max(floor_scale(state), 1): well below tol, so that the residual
-    confirmation wins the race against the A_k criterion in critical
-    (rate-1/2) cases.
+    The update is ||Q_{k+1} - Q_k|| and the residual is
+    residual(Q_k, ||Q_k||), with `iterate`'s norm of Q_k.  The structural
+    stop is ||A_k||^2 or the update below 1e-4 tol max(||Q_k||, 1): well
+    below tol, so that the residual confirmation wins the race against the
+    A_k criterion in critical (rate-1/2) cases.
     """
 
     def advance(s):
         nxt = step(s)
         return nxt, float(np.linalg.norm(nxt.Qk - s.Qk))
 
-    def stop(s, update):
-        floor = 1e-4 * opts.tol * max(floor_scale(s), 1.0)
+    def stop(s, update, nq):
+        floor = 1e-4 * opts.tol * max(nq, 1.0)
         return bool(np.linalg.norm(s.Ak) ** 2 <= floor or update <= floor)
 
     return iterate(
         state,
         advance,
-        lambda s: residual(s.Qk),
+        lambda s, nq: residual(s.Qk, nq),
         opts,
         DEFAULT_DOUBLING_MAX_ITER,
         solution=lambda s: s.Qk,

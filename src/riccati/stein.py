@@ -47,12 +47,17 @@ def _stein_scale(nx: float, problem: SteinProblem) -> float:
     return float(problem.norms["Q"] + problem.norms["A"] ** 2 * nx + nx)
 
 
+def _stein_residual(x, nx: float, problem: SteinProblem) -> float:
+    """`stein_residual` of an X with ||X||_F = nx."""
+    return relative_residual(x, smith_step(x, problem), _stein_scale(nx, problem))
+
+
 def stein_residual(x, problem: SteinProblem) -> float:
     """Relative residual ||X - A^*XA - Q|| / (||Q|| + ||A||^2 ||X|| + ||X||).
 
     X is not scanned: a non-finite X gives a non-finite residual."""
     x = np.asarray(x)
-    return relative_residual(x, smith_step(x, problem), _stein_scale(float(np.linalg.norm(x)), problem))
+    return _stein_residual(x, float(np.linalg.norm(x)), problem)
 
 
 def smith_solve(problem: SteinProblem, opts: SolveOptions = SolveOptions()) -> SolveReport:
@@ -64,7 +69,7 @@ def smith_solve(problem: SteinProblem, opts: SolveOptions = SolveOptions()) -> S
     """
     return iterate_map(
         np.zeros_like(problem.Q),
-        lambda x, nx: (smith_step(x, problem), _stein_scale(nx, problem)),
+        lambda x: (smith_step(x, problem), lambda nx: _stein_scale(nx, problem)),
         opts,
     )
 
@@ -77,7 +82,7 @@ def squared_smith_step(state):
     return (ak @ ak, q_next), float(np.linalg.norm(q_next - qk))
 
 
-def a_overflow(state, update) -> bool:
+def a_overflow(state, *_) -> bool:
     """Structural stop of a squared-Smith state (A_k, Q_k): ||A_k|| > 1e150."""
     return bool(np.linalg.norm(state[0]) > NORM_OVERFLOW)
 
@@ -94,7 +99,7 @@ def squared_smith_solve(problem: SteinProblem, opts: SolveOptions = SolveOptions
     report, (ak, _) = iterate(
         (problem.A.copy(), problem.Q.copy()),
         squared_smith_step,
-        lambda s: stein_residual(s[1], problem),
+        lambda s, nq: _stein_residual(s[1], nq, problem),
         opts,
         DEFAULT_DOUBLING_MAX_ITER,
         solution=lambda s: s[1],

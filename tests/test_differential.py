@@ -1,24 +1,47 @@
-"""Solvers against independent references above the oracle caps, at n = 64.
+"""Solvers against independent references above the oracle caps.
 
-The CARE sign iteration is checked against scipy's Schur-based
-`solve_continuous_are`; the NME solvers, which scipy does not cover, against
-the maximal-solution certificate.
+At n = 64 the CARE sign iteration is checked against scipy's Schur-based
+`solve_continuous_are`, and the NME solvers, which scipy does not cover,
+against the maximal-solution certificate.  At n in {64, 128} DARE SDA is
+checked against `solve_discrete_are` (full-rank and rank-n/4 G), squared
+Smith against `solve_discrete_lyapunov` and ADI at the default shift against
+`solve_continuous_lyapunov`.
 """
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from riccati import SignOptions, cyclic_reduction_solve, nme_fixed_point_solve, sign_solve
+from riccati import (
+    DareProblem,
+    ShiftSequence,
+    SignOptions,
+    adi_solve,
+    cyclic_reduction_solve,
+    nme_fixed_point_solve,
+    sda_solve,
+    sign_solve,
+    squared_smith_solve,
+)
+from riccati.care import default_cayley_tau
 from riccati.generators import GeneratorSpec, gen_problem
 from riccati.io import to_problem
 
 N = 64
+SIZES = (64, 128)
 SEEDS = (0, 1)
+# the measured errors were 1.9e-14 to 3.2e-11 on these instances
+BOUND = 1e-8
 
 
-def instance(kind, seed):
-    return to_problem(gen_problem(GeneratorSpec(kind=kind, n=N, seed=seed)))
+def instance(kind, seed, n=N):
+    return to_problem(gen_problem(GeneratorSpec(kind=kind, n=n, seed=seed)))
+
+
+def gram_factor(m):
+    """B with B B^* = M for a Hermitian PSD M, from an eigendecomposition."""
+    w, v = np.linalg.eigh(m)
+    return v * np.sqrt(np.clip(w, 0.0, None))
 
 
 def rel(x, y) -> float:
@@ -29,10 +52,8 @@ def rel(x, y) -> float:
 @pytest.mark.parametrize("seed", SEEDS)
 def test_sign_matches_scipy(seed, scaling):
     p = instance("care", seed)
-    # G = B B^* from an eigendecomposition, with R = I
-    w, v = np.linalg.eigh(p.G)
-    b = v * np.sqrt(np.clip(w, 0.0, None))
-    x_ref = sla.solve_continuous_are(p.A, b, p.Q, np.eye(N))
+    # G = B B^* with R = I
+    x_ref = sla.solve_continuous_are(p.A, gram_factor(p.G), p.Q, np.eye(N))
     sol = sign_solve(p, SignOptions(scaling=scaling))
     assert sol.report.converged
     assert rel(sol.X_plus, x_ref) <= 1e-8
@@ -54,3 +75,44 @@ def test_nme_maximal_solution(seed, solve):
     y = np.linalg.solve(x, a)
     assert rel(x + a.conj().T @ y, q) <= 1e-10
     assert np.max(np.abs(np.linalg.eigvals(y))) <= 1 + 1e-6
+
+
+@pytest.mark.parametrize("rank", ["full", "n/4"])
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("n", SIZES)
+def test_sda_matches_scipy(n, seed, rank):
+    p = instance("dare", seed, n)
+    if rank == "full":
+        b = gram_factor(p.G)
+    else:
+        # A is stable, so (A, B) is stabilizable for any B
+        rng = np.random.default_rng(seed)
+        b = rng.standard_normal((n, n // 4)) + 1j * rng.standard_normal((n, n // 4))
+        p = DareProblem(A=p.A, G=b @ b.conj().T, Q=p.Q)
+    x_ref = sla.solve_discrete_are(p.A, b, p.Q, np.eye(b.shape[1]))
+    sol = sda_solve(p)
+    assert sol.report.converged
+    assert rel(sol.X_plus, x_ref) <= BOUND
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("n", SIZES)
+def test_squared_smith_matches_scipy(n, seed):
+    p = instance("stein", seed, n)
+    # scipy solves X = A X A^* + Q
+    x_ref = sla.solve_discrete_lyapunov(p.A.conj().T, p.Q)
+    report = squared_smith_solve(p)
+    assert report.converged
+    assert rel(report.X, x_ref) <= BOUND
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("n", SIZES)
+def test_adi_matches_scipy(n, seed):
+    p = instance("lyapunov", seed, n)
+    # scipy solves A X + X A^* = Q
+    x_ref = sla.solve_continuous_lyapunov(p.A.conj().T, -p.Q)
+    # the shift `riccati solve --method adi` uses when none is given
+    report = adi_solve(p, ShiftSequence((default_cayley_tau(p.norms["A"], n),)))
+    assert report.converged
+    assert rel(report.X, x_ref) <= BOUND

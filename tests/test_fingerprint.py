@@ -25,9 +25,13 @@ def test_every_cli_cell_has_an_entry():
     for kind, methods in SOLVERS.items():
         assert f"file {kind} n=1 seed=0" in entries
         for method in methods:
-            for budget in ("", " max_iter=1"):
-                entry = entries[f"solve {kind} {method} n=1 seed=0 tol=1e-12{budget}"]
+            for path in ("tol=1e-12", "tol=1e-12 max_iter=1", "tol=1e-300 max_iter=200"):
+                entry = entries[f"solve {kind} {method} n=1 seed=0 {path}"]
                 assert set(entry) in ({"error"}, LIBRARY_KEYS | {"final_residual"})
+    # rho(A) = 1.2: neither Stein method converges
+    assert "file stein radius=1.2 n=1 seed=0" in entries
+    for method in SOLVERS["stein"]:
+        assert not entries[f"solve stein radius=1.2 {method} n=1 seed=0 tol=1e-12"]["converged"]
     assert set(entries["newton_care_solve x0=0.1I n=1 seed=0"]) == LIBRARY_KEYS
     scalar = entries["care_sda_solve tau=1.0 scalar A=0 G=Q=1"]
     assert set(scalar) == LIBRARY_KEYS

@@ -155,6 +155,37 @@ class TestNmeResidual:
         assert nme_residual([[2.5]], SCALAR) > 0.0
 
 
+class TestFactorizationReason:
+    """A non-finite matrix keeps the factorization's reason; only one that
+    is not positive definite is reported as such."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_iterate(self, bad):
+        p = random_instance(1, 6)
+        x = np.eye(6, dtype=complex)
+        x[2, 3] = bad
+        with pytest.raises(SingularMatrix, match="^non-finite input"):
+            nme_residual(x, p)
+
+    def test_indefinite_iterate(self):
+        p = random_instance(1, 6)
+        with pytest.raises(SingularMatrix, match="^NME iterate X is not positive definite$"):
+            nme_residual(-np.eye(6), p)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_pivot_block(self, bad):
+        uk = np.eye(2)
+        uk[0, 1] = bad
+        with pytest.raises(SingularMatrix, match="^non-finite input"):
+            cr_step(CrState(Ak=np.eye(2), Qk=np.eye(2), Uk=uk, k=0))
+
+    def test_indefinite_pivot_block(self):
+        state = CrState(Ak=np.eye(2), Qk=np.eye(2), Uk=-np.eye(2), k=0)
+        message = "^cyclic-reduction pivot block U_k is singular or not positive definite$"
+        with pytest.raises(SingularMatrix, match=message):
+            cr_step(state)
+
+
 class TestUqmeResidual:
     def test_scalar_solution(self):
         assert uqme_residual([[-0.5]], SCALAR) <= 1e-15

@@ -23,6 +23,7 @@ from riccati.oracle import (
     kron_stein_solve,
     sda_factorization_check,
     sign_relation_check,
+    symplectic_structure_defect,
     tridiag_schur_oracle,
 )
 
@@ -162,6 +163,16 @@ class TestStructure:
     def test_symplectic_pair_rejects_non_symplectic(self):
         with pytest.raises(ValueError):
             SymplecticPair(S=np.diag([2.0, 2.0]), J=np.array([[0.0, 1.0], [-1.0, 0.0]]))
+
+    @pytest.mark.parametrize("n", [6, 24])
+    def test_symplectic_structure(self, n):
+        # 1e-12 is the bound `riccati verify` holds the defect to
+        p = to_problem(gen_problem(GeneratorSpec(kind="dare", n=n, seed=0)))
+        s = build_symplectic(p.A, p.G, p.Q)
+        assert symplectic_structure_defect(s) <= 1e-12
+        e = np.random.default_rng(n).standard_normal(s.shape)
+        perturbed = s + 1e-6 * np.linalg.norm(s) / np.linalg.norm(e) * e
+        assert symplectic_structure_defect(perturbed) > 1e-12
 
     def test_hamiltonian_pairing(self):
         p = to_problem(gen_problem(GeneratorSpec(kind="care", n=4, seed=14)))

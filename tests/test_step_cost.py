@@ -27,6 +27,7 @@ from riccati import (
     sda_solve,
     sign_solve,
     smith_solve,
+    squared_smith_solve,
     stein_residual,
 )
 from riccati import cli, dare, linalg, lyapunov, stein
@@ -209,18 +210,30 @@ class TestNoScanPerIterate:
 
 
 class TestOneNormPerIterate:
+    """`reporting.iterate` norms each iterate once, and the residual scale, the
+    overflow guard and a doubling iteration's floor all read that norm.
+
+    Left out: cyclic reduction and the NME fixed point, because
+    `cholesky_factor`'s pivot floor norms the iterate it factors; sign,
+    because it norms H_k in its step, in the guard and in `lu_factor`; and
+    Newton, because its inner doubling norms A_j both in its residual and in
+    `a_overflow`.
+    """
+
     @pytest.mark.parametrize(
         "kind, solve",
         [
             ("stein", smith_solve),
             ("lyapunov", lambda p: adi_solve(p, ShiftSequence((1.5,)))),
             ("dare", lambda p: dare_fixed_point_solve(p).report),
+            ("stein", squared_smith_solve),
+            ("dare", lambda p: sda_solve(p).report),
+            ("care", lambda p: care_sda_solve(p).report),
         ],
-        ids=["smith", "adi", "dare-fixed-point"],
+        ids=["smith", "adi", "dare-fixed-point", "squared-smith", "sda", "care-sda"],
     )
     def test_no_array_normed_twice(self, monkeypatch, kind, solve):
-        # the residual scale and the driver's overflow guard read one norm
-        # of each iterate; every normed array is held, so no id is reused
+        # every normed array is held, so no id is reused
         p = instance(kind, n=16, seed=0)
         normed = []
         norm = np.linalg.norm

@@ -1,9 +1,13 @@
 """Bit-level fingerprint of every CLI solve and every generated problem file.
 
 Prints one JSON object, one entry per line, keyed by cell.  Each CLI cell
-of the grid also runs once at tol 1e-12 with max_iter=1, so the path of an
-exhausted budget shows in a diff.  Besides the grid it runs `care_sda_solve`
-on the scalar CARE A = 0, G = Q = 1 at three shifts.  Run it on two
+of the grid also runs on its stop paths (STOP_PATHS): once at tol 1e-12
+with max_iter=1, the path of an exhausted budget, and once at the
+unreachable tol 1e-300 with max_iter=200, which ends on stagnation, on a
+doubling iteration's structural floor or on the budget.  The Stein cells
+also run on instances with spectral radius 1.2, which end on the iterate
+overflow guard.  Besides the grid it runs `care_sda_solve` on the scalar
+CARE A = 0, G = Q = 1 at three shifts.  Run it on two
 checkouts and diff the outputs to see which results a change moved:
 
     python3 tools/fingerprint.py > after.json
@@ -43,6 +47,9 @@ CARE_SDA_TAUS = (None, 0.5, 2.0, 1e-6)
 # A = 0, G = Q = 1: H has eigenvalues +-1, so tau = 1 makes the discrete A zero
 SCALAR_CARE = CareProblem(A=[[0.0]], G=[[1.0]], Q=[[1.0]])
 SCALAR_CARE_TAUS = (None, 1.0, 2.0)
+STOP_PATHS = (SolveOptions(tol=1e-12, max_iter=1), SolveOptions(tol=1e-300, max_iter=200))
+# rho(A) > 1: the Stein iterations diverge and stop on the overflow guard
+DIVERGENT_STEIN_RADIUS = 1.2
 
 
 def _sha(a) -> str:
@@ -77,28 +84,28 @@ def _file_sha(pf, directory: Path) -> str:
 
 def fingerprint(sizes=SIZES, seeds=SEEDS, tols=TOLS, critical_kinds=CRITICAL_KINDS) -> dict:
     """Entries for the grid sizes x seeds x tols; the kinds in critical_kinds
-    also get their critical instances."""
+    also get their critical instances, and stein its divergent ones."""
     out = {}
+    instances = [(kind, {}, kind) for kind in cli.SOLVERS]
+    instances += [(kind, {"critical": True}, f"{kind}-critical") for kind in critical_kinds]
+    instances.append(("stein", {"radius": DIVERGENT_STEIN_RADIUS}, f"stein radius={DIVERGENT_STEIN_RADIUS}"))
     with tempfile.TemporaryDirectory() as tmp:
-        for kind, methods in cli.SOLVERS.items():
-            for critical in (False, True) if kind in critical_kinds else (False,):
-                label = f"{kind}-critical" if critical else kind
-                for n in sizes:
-                    for seed in seeds:
-                        pf = gen_problem(GeneratorSpec(kind=kind, n=n, seed=seed, critical=critical))
-                        cell = f"n={n} seed={seed}"
-                        out[f"file {label} {cell}"] = _file_sha(pf, Path(tmp))
-                        for method in methods:
-                            for tol in tols:
-                                opts = SolveOptions(tol=tol)
-                                out[f"solve {label} {method} {cell} tol={tol:g}"] = _entry(
-                                    lambda: cli._solve_dispatch(pf, method, opts, None)
-                                )
-                            # one step: the path of an exhausted budget
-                            opts = SolveOptions(tol=1e-12, max_iter=1)
-                            out[f"solve {label} {method} {cell} tol=1e-12 max_iter=1"] = _entry(
+        for kind, spec, label in instances:
+            methods = cli.SOLVERS[kind]
+            for n in sizes:
+                for seed in seeds:
+                    pf = gen_problem(GeneratorSpec(kind=kind, n=n, seed=seed, **spec))
+                    cell = f"n={n} seed={seed}"
+                    out[f"file {label} {cell}"] = _file_sha(pf, Path(tmp))
+                    for method in methods:
+                        for tol in tols:
+                            opts = SolveOptions(tol=tol)
+                            out[f"solve {label} {method} {cell} tol={tol:g}"] = _entry(
                                 lambda: cli._solve_dispatch(pf, method, opts, None)
                             )
+                        for opts in STOP_PATHS:
+                            key = f"solve {label} {method} {cell} tol={opts.tol:g} max_iter={opts.max_iter}"
+                            out[key] = _entry(lambda: cli._solve_dispatch(pf, method, opts, None))
     for n in sizes:
         for seed in seeds:
             p = to_problem(gen_problem(GeneratorSpec(kind="care", n=n, seed=seed)))
