@@ -31,6 +31,7 @@ from .dare import (
 from .errors import (
     InnerSolveFailed,
     InvalidSpec,
+    NotConverged,
     OverflowGuard,
     ParseError,
     RankMismatch,

@@ -27,7 +27,7 @@ from .linalg import (
     symmetrize,
 )
 from .lyapunov import cayley_reduce
-from .reporting import DEFAULT_DOUBLING_MAX_ITER, SolveOptions, iterate
+from .reporting import DEFAULT_DOUBLING_MAX_ITER, SolveOptions, iterate, iterate_map
 from .stein import a_overflow, squared_smith_step
 
 __all__ = [
@@ -108,8 +108,8 @@ def care_to_dare(problem: CareProblem, tau: float) -> DareProblem:
     K = [A - tau I, -G; Q, A^* - tau I].  A_d may be singular: that is the
     Cayley image of an eigenvalue -tau of H, and no DARE solver inverts A_d.
     """
-    if tau <= 0:
-        raise ValueError("tau must be positive")
+    if not 0 < tau < math.inf:
+        raise ValueError("tau must be positive and finite")
     a, g, q = problem.A, problem.G, problem.Q
     n = problem.n
     eye = np.eye(n)
@@ -170,36 +170,30 @@ def sign_solve(problem: CareProblem, opts: SolveOptions = SignOptions()) -> Dare
     With determinantal scaling every iterate is renormalized to unit
     determinantal scale, so the limit is the true sign of the Hamiltonian
     (eigenvalues +-1) in both scaling modes and extraction always uses the
-    reference shift 1.  The state (H_k, ||H_k - H_{k-1}|| / ||H_{k-1}||) runs
-    on `iterate` from H_1, so `residual_history` holds one relative step norm
-    per step, and X is extracted from the final H_k.  One factorization of
-    H_k gives both tau and (H_k/tau)^{-1} = tau H_k^{-1}, inverted from the
-    same factors (getri).  The iteration stops at a step of min(opts.tol,
-    1e-5), since a looser stop leaves H_k too far from a sign matrix to
-    extract X.  A run that stops unconverged (budget, stagnation) on an H_k
-    the extraction rejects returns converged=False with an all-NaN X; a
-    converged run raises its RankMismatch or SingularU1.  A plain
-    SolveOptions as `opts` means scaling="none".
+    reference shift 1.  The step is a fixed-point map with scale ||H_k||,
+    run by `iterate_map` from H_0 (counted as iteration 1), so
+    `residual_history` holds the relative steps ||H_{k+1} - H_k|| / ||H_k||,
+    and X is extracted from the map's last value F(X_last) = H_K, K the
+    iteration count.  One factorization of H_k gives both tau and
+    (H_k/tau)^{-1} = tau H_k^{-1}, inverted from the same factors (getri).
+    The iteration stops at a step of min(opts.tol, 1e-5), since a looser
+    stop leaves H_k too far from a sign matrix to extract X.  A run that
+    stops unconverged (budget, stagnation) on an H_k the extraction rejects
+    returns converged=False with an all-NaN X; a converged run raises its
+    RankMismatch or SingularU1.  A plain SolveOptions as `opts` means
+    scaling="none".
     """
     determinantal = isinstance(opts, SignOptions) and opts.scaling == "determinantal"
 
-    def advance(h):
+    def sign_map(h):
         lu = lu_factor(h)
         tau = _geometric_mean(lu.pivots) if determinantal else 1.0
-        hn = (h / tau + tau * lu.inverse()) / 2
-        return hn, float(np.linalg.norm(hn - h) / max(np.linalg.norm(h), np.finfo(float).tiny))
+        return (h / tau + tau * lu.inverse()) / 2, lambda nh: nh
 
-    def step(state):
-        nxt = advance(state[0])
-        return nxt, nxt[1]
-
-    report, (h, _) = iterate(
-        advance(hamiltonian(problem)),
-        step,
-        lambda s, _: s[1],
-        SolveOptions(tol=min(opts.tol, _SIGN_MAX_TOL), max_iter=opts.max_iter),
-        100,
-        solution=lambda s: s[0],
+    report, h = iterate_map(
+        hamiltonian(problem),
+        sign_map,
+        SolveOptions(tol=min(opts.tol, _SIGN_MAX_TOL), max_iter=opts.resolve_max_iter(100)),
         first_iteration=1,
     )
     try:

@@ -17,7 +17,7 @@ from .linalg import (
     spectral_radius_estimate,
     symmetrize,
 )
-from .reporting import SolveOptions, SolveReport, iterate_doubling, iterate_map, relative_residual
+from .reporting import SolveOptions, SolveReport, iterate_doubling, iterate_map, map_residual
 
 __all__ = [
     "DareProblem",
@@ -73,14 +73,10 @@ def dare_step(xk, problem: DareProblem) -> np.ndarray:
     return symmetrize(q + a.conj().T @ middle @ a)
 
 
-def _dare_scale(nx: float, problem: DareProblem) -> float:
-    """The residual scale of an X with ||X||_F = nx."""
-    return float(problem.norms["Q"] + nx * (1.0 + problem.norms["A"] ** 2))
-
-
-def _dare_residual(x, nx: float, problem: DareProblem) -> float:
-    """`dare_residual` of an X with ||X||_F = nx."""
-    return relative_residual(x, dare_step(x, problem), _dare_scale(nx, problem))
+def _dare_map(x, problem: DareProblem):
+    """(`dare_step` of X, residual scale of X as a function of ||X||_F)."""
+    norms = problem.norms
+    return dare_step(x, problem), lambda nx: float(norms["Q"] + nx * (1.0 + norms["A"] ** 2))
 
 
 def dare_residual(x, problem: DareProblem) -> float:
@@ -88,7 +84,7 @@ def dare_residual(x, problem: DareProblem) -> float:
 
     X is not scanned: a non-finite X raises SingularMatrix (`dare_step`)."""
     x = np.asarray(x)
-    return _dare_residual(x, float(np.linalg.norm(x)), problem)
+    return map_residual(x, float(np.linalg.norm(x)), _dare_map(x, problem))
 
 
 def closed_loop_radius(x, problem: DareProblem) -> float:
@@ -104,11 +100,7 @@ def dare_fixed_point_solve(
 ) -> DareSolution:
     """Natural fixed-point iteration from X_0 = 0 (a disguised inverse
     subspace iteration); does not produce the dual solution."""
-    report = iterate_map(
-        np.zeros_like(problem.Q),
-        lambda x: (dare_step(x, problem), lambda nx: _dare_scale(nx, problem)),
-        opts,
-    )
+    report, _ = iterate_map(np.zeros_like(problem.Q), lambda x: _dare_map(x, problem), opts)
     return DareSolution(X_plus=report.X, Y_plus=None, report=report)
 
 
@@ -141,7 +133,7 @@ def sda_solve(problem: DareProblem, opts: SolveOptions = SolveOptions(), residua
     report, state = iterate_doubling(
         DoublingState(Ak=problem.A.copy(), Gk=problem.G.copy(), Qk=problem.Q.copy(), k=0),
         sda_step,
-        residual or (lambda q, nq: _dare_residual(q, nq, problem)),
+        residual or (lambda q, nq: map_residual(q, nq, _dare_map(q, problem))),
         opts,
     )
     return DareSolution(X_plus=state.Qk, Y_plus=state.Gk, report=report)

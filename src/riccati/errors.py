@@ -33,6 +33,11 @@ class InnerSolveFailed(RiccatiError):
     """An inner Lyapunov solve broke down (iterate not stabilizing)."""
 
 
+class NotConverged(RiccatiError):
+    """An iteration ran out of budget, or its result failed the checks of
+    the object built from it."""
+
+
 class OverflowGuard(RiccatiError):
     """Explicit matrix powers exceeded the representable-norm guard."""
 

@@ -1,5 +1,6 @@
 """Lyapunov equation A^*X + XA + Q = 0: Cayley reduction, ADI, LR-ADI."""
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -60,8 +61,8 @@ class ShiftSequence:
         shifts = tuple(_shift(s) for s in self.shifts)
         if not shifts:
             raise ValueError("shift sequence must be nonempty")
-        if any(s.real <= 0 for s in shifts):
-            raise ValueError("all shifts must have positive real part")
+        if not all(s.real > 0 and cmath.isfinite(s) for s in shifts):
+            raise ValueError("all shifts must be finite with positive real part")
         object.__setattr__(self, "shifts", shifts)
 
     def at(self, k: int) -> complex:
@@ -110,8 +111,8 @@ def cayley_reduce(a, q, tau: complex) -> tuple[np.ndarray, np.ndarray]:
 def cayley_to_stein(problem: LyapunovProblem, tau: complex) -> SteinProblem:
     """Reduce the Lyapunov equation to the Stein equation in c(A)
     (`cayley_reduce`), as a validated SteinProblem."""
-    if complex(tau).real <= 0:
-        raise ValueError("tau must lie in the open right half-plane")
+    if not (complex(tau).real > 0 and cmath.isfinite(tau)):
+        raise ValueError("tau must be finite and lie in the open right half-plane")
     c_of_a, q_tilde = cayley_reduce(problem.A, problem.Q, tau)
     return SteinProblem(A=c_of_a, Q=q_tilde)
 

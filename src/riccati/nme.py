@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularMatrix
+from .errors import NotConverged, SingularMatrix
 from .linalg import (
     Coefficients,
     as_matrix,
@@ -15,7 +15,7 @@ from .linalg import (
     spectral_radius_estimate,
     symmetrize,
 )
-from .reporting import SolveOptions, SolveReport, iterate_doubling, iterate_map, relative_residual
+from .reporting import SolveOptions, SolveReport, iterate_doubling, iterate_map, map_residual
 
 __all__ = [
     "NmeProblem",
@@ -123,12 +123,6 @@ def nme_step(xk, problem: NmeProblem) -> np.ndarray:
     return _nme_map(np.asarray(xk), problem)[0]
 
 
-def _nme_residual(x, nx: float, problem: NmeProblem) -> float:
-    """`nme_residual` of an X with ||X||_F = nx."""
-    x_next, scale = _nme_map(x, problem)
-    return relative_residual(x, x_next, scale(nx))
-
-
 def nme_residual(x, problem: NmeProblem) -> float:
     """Relative residual of X + A^*X^{-1}A = Q.
 
@@ -138,7 +132,7 @@ def nme_residual(x, problem: NmeProblem) -> float:
     SingularMatrix.
     """
     x = np.asarray(x)
-    return _nme_residual(x, float(np.linalg.norm(x)), problem)
+    return map_residual(x, float(np.linalg.norm(x)), _nme_map(x, problem))
 
 
 def nme_fixed_point_solve(
@@ -149,7 +143,7 @@ def nme_fixed_point_solve(
     solution.  Critical spectra surface as sublinear rate_estimate -> 1.  An
     iterate that is not positive definite raises SingularMatrix: the
     equation then has no positive definite solution."""
-    return iterate_map(problem.Q.copy(), lambda x: _nme_map(x, problem), opts, first_iteration=1)
+    return iterate_map(problem.Q.copy(), lambda x: _nme_map(x, problem), opts, first_iteration=1)[0]
 
 
 def cr_step(state: CrState) -> CrState:
@@ -183,7 +177,7 @@ def cyclic_reduction_solve(
     report, _ = iterate_doubling(
         CrState(Ak=problem.A.copy(), Qk=problem.Q.copy(), Uk=problem.Q.copy(), k=0),
         cr_step,
-        lambda q, nq: _nme_residual(q, nq, problem),
+        lambda q, nq: map_residual(q, nq, _nme_map(q, problem)),
         opts,
     )
     return report
@@ -192,11 +186,18 @@ def cyclic_reduction_solve(
 def spectral_factorize(
     problem: NmeProblem, opts: SolveOptions = SolveOptions()
 ) -> SpectralFactorization:
-    """Spectral factorization via cyclic reduction: X = X_plus, Y = -X^{-1}A."""
+    """Spectral factorization via cyclic reduction: X = X_plus, Y = -X^{-1}A.
+
+    A run that does not converge, or whose X and Y fail the identities or
+    the rho(Y) <= 1 check of SpectralFactorization, raises NotConverged."""
     report = cyclic_reduction_solve(problem, opts)
-    x = report.X
-    y = -solve_linear(x, problem.A)
-    return SpectralFactorization(X=x, Y=y, A=problem.A, Q=problem.Q)
+    if not report.converged:
+        raise NotConverged(f"cyclic reduction did not converge in {report.iterations} steps")
+    y = -solve_linear(report.X, problem.A)
+    try:
+        return SpectralFactorization(X=report.X, Y=y, A=problem.A, Q=problem.Q)
+    except ValueError as exc:
+        raise NotConverged(f"cyclic reduction converged in {report.iterations} steps, but {exc}") from exc
 
 
 def uqme_residual(y, problem: NmeProblem) -> float:

@@ -29,8 +29,8 @@ class SolveOptions:
     max_iter: int | None = None
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not 0 < self.tol < math.inf:
+            raise ValueError("tol must be positive and finite")
         if self.max_iter is not None and self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
 
@@ -45,10 +45,11 @@ class SolveReport:
     `residual_history` holds the relative residual of every recorded iterate
     (including the initial one where the solver records it, so its length is
     iterations or iterations + 1).  The sign iteration records relative step
-    norms ||H_k - H_{k-1}|| / ||H_{k-1}|| there instead, and squared Smith on a
+    norms ||H_{k+1} - H_k|| / ||H_k|| there instead, and squared Smith on a
     Cayley-reduced Lyapunov problem records the reduced Stein residual, not
     the Lyapunov one.  `rate_estimate` is the geometric mean of
-    successive iterate-update-norm ratios over the last five recorded steps;
+    successive iterate-update-norm ratios over the last five recorded steps
+    (absolute update norms ||X_{k+1} - X_k||, for sign too);
     update norms rather than residuals make the estimate meaningful also in
     critical cases where the residual shrinks quadratically in the error.
     """
@@ -74,9 +75,11 @@ def _ratio(raw: float, scale: float) -> float:
     return 0.0 if raw == 0.0 else raw / scale
 
 
-def relative_residual(x, x_next, scale: float) -> float:
-    """||F(X) - X|| / scale for a fixed-point map F with x_next = F(X)."""
-    return _ratio(float(np.linalg.norm(x_next - x)), scale)
+def map_residual(x, nx: float, mapped) -> float:
+    """||F(X) - X|| / scale(nx) from mapped = (F(X), scale), the value of a
+    fixed-point map at X, and nx = ||X||_F."""
+    x_next, scale = mapped
+    return _ratio(float(np.linalg.norm(x_next - x)), scale(nx))
 
 
 def iterate(
@@ -144,21 +147,22 @@ def iterate(
     return report, state
 
 
-def iterate_map(x0, fmap, opts: SolveOptions, first_iteration: int = 0) -> SolveReport:
+def iterate_map(x0, fmap, opts: SolveOptions, first_iteration: int = 0):
     """`iterate` X_{k+1} = F(X_k) from X_0 = x0, where fmap(X) returns
-    (F(X), scale) and scale(||X||_F) is the residual scale of X.
+    (F(X), scale) and scale(||X||_F) is the residual scale of X; return
+    (SolveReport, F(X_last)), with report.X = X_last.
 
     The state carries F(X_k) ahead of the step: it is the next iterate, and
     ||F(X_k) - X_k|| is both the update norm and, over the scale read at
-    `iterate`'s ||X_k||, the residual of X_k.  So F is evaluated once per
-    iterate, and a k-step run evaluates it k + 1 times.
+    `iterate`'s ||X_k||, the residual of X_k (`map_residual`'s ratio).  So F
+    is evaluated once per iterate, and a k-step run evaluates it k + 1 times.
     """
 
     def ahead(x):
         x_next, scale = fmap(x)
         return x, x_next, float(np.linalg.norm(x_next - x)), scale
 
-    report, _ = iterate(
+    report, state = iterate(
         ahead(x0),
         lambda s: (ahead(s[1]), s[2]),
         lambda s, nx: _ratio(s[2], s[3](nx)),
@@ -167,7 +171,7 @@ def iterate_map(x0, fmap, opts: SolveOptions, first_iteration: int = 0) -> Solve
         solution=lambda s: s[0],
         first_iteration=first_iteration,
     )
-    return report
+    return report, state[1]
 
 
 def iterate_doubling(state, step, residual, opts: SolveOptions):

@@ -12,7 +12,7 @@ from .reporting import (
     SolveReport,
     iterate,
     iterate_map,
-    relative_residual,
+    map_residual,
 )
 
 __all__ = [
@@ -42,14 +42,10 @@ def smith_step(xk, problem: SteinProblem) -> np.ndarray:
     return symmetrize(problem.Q + a.conj().T @ np.asarray(xk) @ a)
 
 
-def _stein_scale(nx: float, problem: SteinProblem) -> float:
-    """The residual scale of an X with ||X||_F = nx."""
-    return float(problem.norms["Q"] + problem.norms["A"] ** 2 * nx + nx)
-
-
-def _stein_residual(x, nx: float, problem: SteinProblem) -> float:
-    """`stein_residual` of an X with ||X||_F = nx."""
-    return relative_residual(x, smith_step(x, problem), _stein_scale(nx, problem))
+def _smith_map(x, problem: SteinProblem):
+    """(`smith_step` of X, residual scale of X as a function of ||X||_F)."""
+    norms = problem.norms
+    return smith_step(x, problem), lambda nx: float(norms["Q"] + norms["A"] ** 2 * nx + nx)
 
 
 def stein_residual(x, problem: SteinProblem) -> float:
@@ -57,7 +53,7 @@ def stein_residual(x, problem: SteinProblem) -> float:
 
     X is not scanned: a non-finite X gives a non-finite residual."""
     x = np.asarray(x)
-    return _stein_residual(x, float(np.linalg.norm(x)), problem)
+    return map_residual(x, float(np.linalg.norm(x)), _smith_map(x, problem))
 
 
 def smith_solve(problem: SteinProblem, opts: SolveOptions = SolveOptions()) -> SolveReport:
@@ -67,11 +63,7 @@ def smith_solve(problem: SteinProblem, opts: SolveOptions = SolveOptions()) -> S
     max_iter (reported with converged=False).  Divergence for rho(A) >= 1 is
     caught by an iterate-norm overflow guard rather than precluded.
     """
-    return iterate_map(
-        np.zeros_like(problem.Q),
-        lambda x: (smith_step(x, problem), lambda nx: _stein_scale(nx, problem)),
-        opts,
-    )
+    return iterate_map(np.zeros_like(problem.Q), lambda x: _smith_map(x, problem), opts)[0]
 
 
 def squared_smith_step(state):
@@ -99,7 +91,7 @@ def squared_smith_solve(problem: SteinProblem, opts: SolveOptions = SolveOptions
     report, (ak, _) = iterate(
         (problem.A.copy(), problem.Q.copy()),
         squared_smith_step,
-        lambda s, nq: _stein_residual(s[1], nq, problem),
+        lambda s, nq: map_residual(s[1], nq, _smith_map(s[1], problem)),
         opts,
         DEFAULT_DOUBLING_MAX_ITER,
         solution=lambda s: s[1],

@@ -74,6 +74,13 @@ class TestCareToDare:
         with pytest.raises(StructureLoss):
             care_sda_solve(p, tau=1e-6)
 
+    @pytest.mark.parametrize("tau", [0.0, -1.0, np.nan, np.inf])
+    def test_invalid_shift_raises(self, tau):
+        with pytest.raises(ValueError, match="tau must be positive"):
+            care_to_dare(SCALAR, tau)
+        with pytest.raises(ValueError, match="tau must be positive"):
+            care_sda_solve(SCALAR, tau=tau)
+
     def test_output_is_hermitian(self):
         p = random_instance(0, 4)
         d = care_to_dare(p, 3.0)
@@ -198,6 +205,40 @@ class TestSignSolve:
             assert np.linalg.norm(sol.X_plus - x) <= 1e-8 * np.linalg.norm(x)
 
 
+def near_critical_instance():
+    """A = 1e-6 randn(10, 10), G = bb^T, Q = 1e-6 c^T c from
+    default_rng(5): the Hamiltonian eigenvalues nearest the imaginary axis
+    have |Re lambda| = 1.4e-7 against max |lambda| = 3.6e-3.  Returns the
+    problem and scipy's stabilizing solution."""
+    rng = np.random.default_rng(5)
+    a = 1e-6 * rng.standard_normal((10, 10))
+    b = rng.standard_normal((10, 1))
+    c = rng.standard_normal((1, 10))
+    q = 1e-6 * c.T @ c
+    return CareProblem(A=a, G=b @ b.T, Q=q), scipy.linalg.solve_continuous_are(a, b, q, np.eye(1))
+
+
+def relative_error(x, ref):
+    return np.linalg.norm(x - ref) / np.linalg.norm(ref)
+
+
+class TestNearCriticalCare:
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 1: care_sda_solve reports converged=True on a non-stabilizing X",
+    )
+    def test_care_sda_flags_or_solves(self):
+        p, ref = near_critical_instance()
+        sol = care_sda_solve(p)
+        assert not sol.report.converged or relative_error(sol.X_plus, ref) <= 1e-6
+
+    def test_sign_matches_scipy(self):
+        p, ref = near_critical_instance()
+        sol = sign_solve(p, SignOptions(scaling="determinantal"))
+        assert sol.report.converged
+        assert relative_error(sol.X_plus, ref) <= 1e-6
+
+
 class TestSignOptions:
     def test_is_solve_options(self):
         opts = SignOptions()
@@ -219,6 +260,8 @@ class TestSignOptions:
             ({"scaling": "bogus"}, "scaling must be 'none' or 'determinantal'"),
             ({"tol": 0}, "tol must be positive"),
             ({"max_iter": 0}, "max_iter must be >= 1"),
+            ({"tol": float("nan")}, "tol must be positive"),
+            ({"tol": float("inf")}, "tol must be positive"),
         ],
     )
     def test_invalid_value_raises(self, kwargs, message):

@@ -33,6 +33,12 @@ def test_every_cli_cell_has_an_entry():
     for method in SOLVERS["stein"]:
         assert not entries[f"solve stein radius=1.2 {method} n=1 seed=0 tol=1e-12"]["converged"]
     assert set(entries["newton_care_solve x0=0.1I n=1 seed=0"]) == LIBRARY_KEYS
+    for tol in ("1e-12", "0.001"):
+        assert set(entries[f"sign_solve scaling=none n=1 seed=0 tol={tol}"]) == LIBRARY_KEYS
+    # the public residuals at X = Q, as the repr of a finite float
+    for kind in ("stein", "dare", "nme"):
+        assert float(entries[f"{kind}_residual X=Q {kind} n=1 seed=0"]) >= 0.0
+    assert float(entries["stein_residual X=Q stein radius=1.2 n=1 seed=0"]) >= 0.0
     scalar = entries["care_sda_solve tau=1.0 scalar A=0 G=Q=1"]
     assert set(scalar) == LIBRARY_KEYS
     assert scalar["converged"] and scalar["iterations"] == 0

@@ -327,6 +327,22 @@ class TestSolveCommand:
         assert main(["solve", "--input", str(path), "--method", "sign", "--tol", "1e-3"]) == 0
         assert "converged: True" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "kind, flags, message",
+        [
+            ("stein", ["--method", "smith", "--tol", "nan"], "tol must be positive"),
+            ("stein", ["--method", "smith", "--tol", "inf"], "tol must be positive"),
+            ("lyapunov", ["--method", "adi", "--shifts", "nan"], "shifts must be finite"),
+            ("lyapunov", ["--method", "adi", "--shifts", "inf"], "shifts must be finite"),
+        ],
+    )
+    def test_non_finite_option_exit_1(self, tmp_path, capsys, kind, flags, message):
+        path = tmp_path / "p.json"
+        assert main(["gen", "--kind", kind, "--n", "6", "--seed", "0", "--output", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["solve", "--input", str(path), *flags]) == 1
+        assert message in capsys.readouterr().err
+
     def test_unknown_method_exit_64(self, tmp_path):
         path = self.gen(tmp_path)
         assert main(["solve", "--input", str(path), "--method", "qr"]) == 64

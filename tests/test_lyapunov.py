@@ -40,6 +40,11 @@ class TestCayleyToStein:
         with pytest.raises(SingularShift):
             cayley_to_stein(p, 1.0)
 
+    @pytest.mark.parametrize("tau", [np.nan, np.inf, complex(1.0, np.inf)])
+    def test_non_finite_shift_raises(self, tau):
+        with pytest.raises(ValueError, match="tau must be finite"):
+            cayley_to_stein(LyapunovProblem(A=[[-1.0]], Q=[[1.0]]), tau)
+
     def test_left_half_plane_maps_inside_disk(self):
         p = LyapunovProblem(A=[[-1.0]], Q=[[1.0]])
         assert abs(cayley_to_stein(p, 1.0).A[0, 0]) < 1
@@ -196,6 +201,11 @@ class TestShiftSequence:
     def test_rejects_left_half_plane(self):
         with pytest.raises(ValueError):
             ShiftSequence((-1.0,))
+
+    @pytest.mark.parametrize("shift", [np.nan, np.inf, complex(1.0, np.inf), complex(np.nan, 1.0)])
+    def test_rejects_non_finite(self, shift):
+        with pytest.raises(ValueError, match="shifts must be finite"):
+            ShiftSequence((1.0, shift))
 
     def test_cycles(self):
         s = ShiftSequence((1.0, 2.0))

@@ -11,7 +11,7 @@ from riccati import (
     uqme_residual,
 )
 from riccati.cli import main
-from riccati.errors import SingularMatrix
+from riccati.errors import NotConverged, SingularMatrix
 from riccati.generators import GeneratorSpec, gen_problem
 from riccati.io import ProblemFile, save_problem, to_problem
 from riccati.linalg import psd_check
@@ -136,6 +136,17 @@ class TestSpectralFactorize:
         fact = spectral_factorize(CRITICAL, SolveOptions(tol=1e-12))
         assert fact.X[0, 0] == pytest.approx(1.0, abs=1e-5)
         assert fact.Y[0, 0] == pytest.approx(-1.0, abs=1e-5)
+
+    @pytest.mark.parametrize("max_iter", [1, 2])
+    def test_exhausted_budget_is_typed(self, max_iter):
+        p = random_instance(0, 6)
+        with pytest.raises(NotConverged, match=f"did not converge in {max_iter} steps"):
+            spectral_factorize(p, SolveOptions(max_iter=max_iter))
+
+    def test_failed_identity_is_typed(self):
+        # a loose tol converges on an X too far from X_plus to factor P(z)
+        with pytest.raises(NotConverged, match="converged in .* but factorization does not match"):
+            spectral_factorize(random_instance(0, 6), SolveOptions(tol=1e-3))
 
     def test_invariants_validated(self):
         with pytest.raises(ValueError):

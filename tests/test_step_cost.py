@@ -213,12 +213,27 @@ class TestOneNormPerIterate:
     """`reporting.iterate` norms each iterate once, and the residual scale, the
     overflow guard and a doubling iteration's floor all read that norm.
 
-    Left out: cyclic reduction and the NME fixed point, because
-    `cholesky_factor`'s pivot floor norms the iterate it factors; sign,
-    because it norms H_k in its step, in the guard and in `lu_factor`; and
-    Newton, because its inner doubling norms A_j both in its residual and in
-    `a_overflow`.
+    Sign norms each H_k twice: in `reporting.iterate` and in `lu_factor`'s
+    pivot floor.  Left out: cyclic reduction and the NME fixed point,
+    because `cholesky_factor`'s pivot floor norms the iterate it factors,
+    and Newton, because its inner doubling norms A_j both in its residual
+    and in `a_overflow`.
     """
+
+    @staticmethod
+    def most_norms_of_one_array(monkeypatch, run):
+        # every normed array is held, so no id is reused
+        normed = []
+        norm = np.linalg.norm
+
+        def holding_norm(x, *args, **kwargs):
+            normed.append(x)
+            return norm(x, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "norm", holding_norm)
+        report = run()
+        assert report.converged and report.iterations > 2
+        return max(Counter(id(x) for x in normed).values())
 
     @pytest.mark.parametrize(
         "kind, solve",
@@ -233,19 +248,16 @@ class TestOneNormPerIterate:
         ids=["smith", "adi", "dare-fixed-point", "squared-smith", "sda", "care-sda"],
     )
     def test_no_array_normed_twice(self, monkeypatch, kind, solve):
-        # every normed array is held, so no id is reused
         p = instance(kind, n=16, seed=0)
-        normed = []
-        norm = np.linalg.norm
+        assert self.most_norms_of_one_array(monkeypatch, lambda: solve(p)) == 1
 
-        def holding_norm(x, *args, **kwargs):
-            normed.append(x)
-            return norm(x, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "norm", holding_norm)
-        report = solve(p)
-        assert report.converged and report.iterations > 2
-        assert max(Counter(id(x) for x in normed).values()) == 1
+    @pytest.mark.parametrize("scaling", ["none", "determinantal"])
+    def test_sign_norms_each_h_k_twice(self, monkeypatch, scaling):
+        p = instance("care", n=16, seed=0)
+        most = self.most_norms_of_one_array(
+            monkeypatch, lambda: sign_solve(p, SignOptions(scaling=scaling)).report
+        )
+        assert most <= 2
 
 
 class TestOneReductionPerShift:

@@ -6,8 +6,11 @@ with max_iter=1, the path of an exhausted budget, and once at the
 unreachable tol 1e-300 with max_iter=200, which ends on stagnation, on a
 doubling iteration's structural floor or on the budget.  The Stein cells
 also run on instances with spectral radius 1.2, which end on the iterate
-overflow guard.  Besides the grid it runs `care_sda_solve` on the scalar
-CARE A = 0, G = Q = 1 at three shifts.  Run it on two
+overflow guard.  Besides the grid it runs `sign_solve` unscaled at two
+tolerances on each CARE instance (the CLI runs only determinantal scaling),
+records `stein_residual`, `dare_residual` and `nme_residual` at X = Q on
+each instance of their kind, and runs `care_sda_solve` on the scalar CARE
+A = 0, G = Q = 1 at three shifts.  Run it on two
 checkouts and diff the outputs to see which results a change moved:
 
     python3 tools/fingerprint.py > after.json
@@ -17,7 +20,8 @@ checkouts and diff the outputs to see which results a change moved:
 Each solve entry holds the iteration count, the converged flag, SHA-256
 digests of X and of the residual history (both hashed by value, as
 complex128), the rate estimate and the final residual as `riccati solve`
-prints it.  No solve computes the closed-loop radius, so no entry holds it.
+prints it; a residual entry holds the repr of the float.  No solve
+computes the closed-loop radius, so no entry holds it.
 A solve that raises records its error instead.  The script imports riccati
 from the `src/` next to it, so each checkout fingerprints its own code.
 """
@@ -33,11 +37,20 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import numpy as np  # noqa: E402
 
 from riccati import cli  # noqa: E402
-from riccati.care import CareProblem, care_sda_solve, newton_care_solve  # noqa: E402
+from riccati.care import (  # noqa: E402
+    CareProblem,
+    SignOptions,
+    care_sda_solve,
+    newton_care_solve,
+    sign_solve,
+)
+from riccati.dare import dare_residual  # noqa: E402
 from riccati.errors import RiccatiError  # noqa: E402
 from riccati.generators import GeneratorSpec, gen_problem  # noqa: E402
 from riccati.io import save_problem, to_problem  # noqa: E402
+from riccati.nme import nme_residual  # noqa: E402
 from riccati.reporting import SolveOptions  # noqa: E402
+from riccati.stein import stein_residual  # noqa: E402
 
 SIZES = (1, 6, 16, 32)
 SEEDS = (0, 1, 2, 3)
@@ -47,6 +60,8 @@ CARE_SDA_TAUS = (None, 0.5, 2.0, 1e-6)
 # A = 0, G = Q = 1: H has eigenvalues +-1, so tau = 1 makes the discrete A zero
 SCALAR_CARE = CareProblem(A=[[0.0]], G=[[1.0]], Q=[[1.0]])
 SCALAR_CARE_TAUS = (None, 1.0, 2.0)
+SIGN_TOLS = (1e-12, 1e-3)
+RESIDUALS = {"stein": stein_residual, "dare": dare_residual, "nme": nme_residual}
 STOP_PATHS = (SolveOptions(tol=1e-12, max_iter=1), SolveOptions(tol=1e-300, max_iter=200))
 # rho(A) > 1: the Stein iterations diverge and stop on the overflow guard
 DIVERGENT_STEIN_RADIUS = 1.2
@@ -97,6 +112,9 @@ def fingerprint(sizes=SIZES, seeds=SEEDS, tols=TOLS, critical_kinds=CRITICAL_KIN
                     pf = gen_problem(GeneratorSpec(kind=kind, n=n, seed=seed, **spec))
                     cell = f"n={n} seed={seed}"
                     out[f"file {label} {cell}"] = _file_sha(pf, Path(tmp))
+                    if kind in RESIDUALS:
+                        p = to_problem(pf)
+                        out[f"{kind}_residual X=Q {label} {cell}"] = repr(RESIDUALS[kind](p.Q, p))
                     for method in methods:
                         for tol in tols:
                             opts = SolveOptions(tol=tol)
@@ -113,6 +131,10 @@ def fingerprint(sizes=SIZES, seeds=SEEDS, tols=TOLS, critical_kinds=CRITICAL_KIN
             for tau in CARE_SDA_TAUS:
                 out[f"care_sda_solve tau={tau} {cell}"] = _entry(
                     lambda: (care_sda_solve(p, tau).report, None)
+                )
+            for tol in SIGN_TOLS:
+                out[f"sign_solve scaling=none {cell} tol={tol:g}"] = _entry(
+                    lambda: (sign_solve(p, SignOptions(tol=tol)).report, None)
                 )
             out[f"newton_care_solve x0=0.1I {cell}"] = _entry(
                 lambda: (newton_care_solve(p, 0.1 * np.eye(n)).report, None)
