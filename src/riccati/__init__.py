@@ -65,6 +65,7 @@ from .nme import (
 )
 from .reporting import SolveOptions, SolveReport
 from .stein import (
+    SmithState,
     SteinProblem,
     smith_solve,
     squared_smith_solve,

@@ -27,8 +27,8 @@ from .linalg import (
     symmetrize,
 )
 from .lyapunov import cayley_reduce
-from .reporting import DEFAULT_DOUBLING_MAX_ITER, SolveOptions, iterate, iterate_map
-from .stein import a_overflow, squared_smith_step
+from .reporting import DEFAULT_DOUBLING_MAX_ITER, NORM_OVERFLOW, SolveOptions, iterate, iterate_map
+from .stein import SmithState, squared_smith_step
 
 __all__ = [
     "CareProblem",
@@ -245,33 +245,36 @@ def sign_extract(h_inf) -> np.ndarray:
 def _kleinman_lyap_solve(closed_loop, rhs) -> np.ndarray:
     """Solve A_cl^* X + X A_cl = -rhs by a Cayley reduction and squared Smith.
 
-    The doubling runs until ||A_j||_F^2 <= eps, where the remaining tail
+    The doubling runs until ||A_j||_F <= sqrt(eps), where the remaining tail
     A_j^* X A_j is below rounding.  That stop also certifies A_cl Hurwitz:
     ||A_j||_F < 1 proves rho(c(A_cl)) < 1.  A shift on the spectrum, an
-    overflow of A_j or no certificate within 60 doublings raises
-    InnerSolveFailed.  Both matrices come from `newton_care_solve`, built
-    from a validated problem, so they are used unchecked.
+    overflow of A_j (||A_j||_F > 1e150) or no certificate within 60
+    doublings raises InnerSolveFailed.  This loop is not `iterate_doubling`,
+    whose floor 1e-4 tol max(||Q_j||, 1) would stop it unconverged before
+    ||A_j|| reaches sqrt(eps).  Both matrices come from `newton_care_solve`,
+    built from a validated problem, so they are used unchecked.
     """
     try:
         tau = default_cayley_tau(np.linalg.norm(closed_loop), closed_loop.shape[0])
-        start = cayley_reduce(closed_loop, rhs, tau)
+        start = SmithState(*cayley_reduce(closed_loop, rhs, tau))
     except SingularShift as exc:
         raise InnerSolveFailed("closed loop A - G X_k has an eigenvalue at the Cayley shift") from exc
-    report, (ak, qk) = iterate(
+    # the report is read for its flag and count only, so no update norm is taken
+    report, state = iterate(
         start,
-        squared_smith_step,
-        lambda s, _: float(np.linalg.norm(s[0])),
+        lambda s: (squared_smith_step(s), 0.0),
+        lambda s, _: float(np.linalg.norm(s.Ak)),
         _INNER_OPTS,
         DEFAULT_DOUBLING_MAX_ITER,
-        solution=lambda s: s[1],
-        stop=a_overflow,
+        solution=lambda s: s.Qk,
+        stop=lambda s, *_: bool(np.linalg.norm(s.Ak) > NORM_OVERFLOW),
     )
     if not report.converged:
         raise InnerSolveFailed(
             f"closed loop A - G X_k is not Hurwitz: ||c(A_cl)^(2^j)||_F = "
-            f"{np.linalg.norm(ak):.3g} after {report.iterations} doublings"
+            f"{np.linalg.norm(state.Ak):.3g} after {report.iterations} doublings"
         )
-    return qk
+    return state.Qk
 
 
 def newton_care_solve(

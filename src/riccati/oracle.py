@@ -7,6 +7,7 @@ allowed here and only here; everything is capped at desk scale because these
 routines exist to verify, not to compete.
 """
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -163,8 +164,8 @@ def sda_factorization_check(state: DoublingState, problem: DareProblem) -> float
 def sign_relation_check(problem: CareProblem, tau: float, k: int) -> float:
     """Relative defect of c(H_k) = S^(2^k) after k unscaled sign steps,
     where S = c(H) is the Cayley transform with parameter tau."""
-    if tau <= 0:
-        raise ValueError("tau must be positive")
+    if not 0 < tau < math.inf:
+        raise ValueError("tau must be positive and finite")
     h = hamiltonian(problem)
     eye = np.eye(h.shape[0])
     s = solve_linear(h - tau * eye, h + tau * eye)

@@ -92,7 +92,6 @@ def iterate(
     solution=lambda state: state,
     stop=None,
     first_iteration: int = 0,
-    always_step: bool = False,
 ):
     """Run state_{k+1}, update_k = step(state_k); return (SolveReport, last state).
 
@@ -103,17 +102,16 @@ def iterate(
     residual is <= opts.tol (converged), is non-finite or ||X|| > 1e150, at
     max_iter, and on `stop` if given (a doubling iteration's structural
     stop), else on residual stagnation (successive residuals within
-    STAGNATION_TOL).  `first_iteration` is the count of the start;
-    `always_step` steps even when the start meets tol.  Nothing here scans
-    an iterate's entries: a non-finite iterate shows as a non-finite
-    residual or norm.
+    STAGNATION_TOL).  A start that meets tol is returned without a step;
+    `first_iteration` is its count.  Nothing here scans an iterate's
+    entries: a non-finite iterate shows as a non-finite residual or norm.
     """
     max_iter = opts.resolve_max_iter(default_max_iter)
     t0 = time.perf_counter_ns()
     history = [residual(state, float(np.linalg.norm(solution(state))))]
     times = [time.perf_counter_ns() - t0]
     updates: list[float] = []
-    converged = history[0] <= opts.tol and not always_step
+    converged = history[0] <= opts.tol
     iterations = first_iteration
     # an overflowing step or norm ends the run through the guards below, so
     # numpy's overflow warning would only repeat that to the caller
@@ -176,13 +174,15 @@ def iterate_map(x0, fmap, opts: SolveOptions, first_iteration: int = 0):
 
 def iterate_doubling(state, step, residual, opts: SolveOptions):
     """`iterate` a doubling state with fields Ak and Qk, where step(state) is
-    the next state and Q_k is the iterate it stands for.
+    the next state and Q_k is the iterate it stands for: the one loop of
+    squared Smith, SDA and cyclic reduction.
 
     The update is ||Q_{k+1} - Q_k|| and the residual is
-    residual(Q_k, ||Q_k||), with `iterate`'s norm of Q_k.  The structural
-    stop is ||A_k||^2 or the update below 1e-4 tol max(||Q_k||, 1): well
-    below tol, so that the residual confirmation wins the race against the
-    A_k criterion in critical (rate-1/2) cases.
+    residual(Q_k, ||Q_k||), with `iterate`'s norm of Q_k; a start that
+    meets tol takes no step.  The structural stop is ||A_k||^2 or the
+    update below 1e-4 tol max(||Q_k||, 1): well below tol, so that the
+    residual confirmation wins the race against the A_k criterion in
+    critical (rate-1/2) cases.
     """
 
     def advance(s):

@@ -5,18 +5,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import Coefficients, symmetrize
-from .reporting import (
-    DEFAULT_DOUBLING_MAX_ITER,
-    NORM_OVERFLOW,
-    SolveOptions,
-    SolveReport,
-    iterate,
-    iterate_map,
-    map_residual,
-)
+from .reporting import SolveOptions, SolveReport, iterate_doubling, iterate_map, map_residual
 
 __all__ = [
     "SteinProblem",
+    "SmithState",
     "smith_step",
     "smith_solve",
     "squared_smith_step",
@@ -33,6 +26,13 @@ class SteinProblem(Coefficients):
     A: np.ndarray
     Q: np.ndarray
 
+
+@dataclass(frozen=True)
+class SmithState:
+    """The (A_k, Q_k) pair advanced by squared Smith."""
+
+    Ak: np.ndarray
+    Qk: np.ndarray
 
 
 def smith_step(xk, problem: SteinProblem) -> np.ndarray:
@@ -66,37 +66,28 @@ def smith_solve(problem: SteinProblem, opts: SolveOptions = SolveOptions()) -> S
     return iterate_map(np.zeros_like(problem.Q), lambda x: _smith_map(x, problem), opts)[0]
 
 
-def squared_smith_step(state):
-    """One doubling step (A_k, Q_k) -> (A_k^2, Q_k + A_k^* Q_k A_k) and the
-    update norm ||Q_{k+1} - Q_k||."""
-    ak, qk = state
-    q_next = symmetrize(qk + ak.conj().T @ qk @ ak)
-    return (ak @ ak, q_next), float(np.linalg.norm(q_next - qk))
-
-
-def a_overflow(state, *_) -> bool:
-    """Structural stop of a squared-Smith state (A_k, Q_k): ||A_k|| > 1e150."""
-    return bool(np.linalg.norm(state[0]) > NORM_OVERFLOW)
+def squared_smith_step(state: SmithState) -> SmithState:
+    """One doubling step (A_k, Q_k) -> (A_k^2, Q_k + A_k^* Q_k A_k)."""
+    ak, qk = state.Ak, state.Qk
+    return SmithState(Ak=ak @ ak, Qk=symmetrize(qk + ak.conj().T @ qk @ ak))
 
 
 def squared_smith_solve(problem: SteinProblem, opts: SolveOptions = SolveOptions()) -> SolveReport:
-    """Doubling variant: A_{k+1} = A_k^2, Q_{k+1} = Q_k + A_k^* Q_k A_k.
+    """Doubling variant: A_{k+1} = A_k^2, Q_{k+1} = Q_k + A_k^* Q_k A_k, run
+    by `iterate_doubling` from (A, Q).
 
-    Q_k equals the 2^k-th Smith iterate; `iterations` counts doubling steps,
-    and at least one is taken.  A residual stop counts as converged only when
-    ||A_k||_F < 1, which proves rho(A) < 1: for rho(A) = 1 the Stein operator
-    is singular, and Q_k can reach a small relative residual while growing
-    without bound.
+    Q_k equals the 2^k-th Smith iterate; `iterations` counts doubling steps.
+    A residual stop counts as converged only when ||A_k||_F < 1, which
+    proves rho(A) < 1: for rho(A) = 1 the Stein operator is singular, and
+    Q_k can reach a small relative residual while growing without bound.
+    A start Q that meets tol is returned after no step, so it counts as
+    converged only when ||A||_F < 1.
     """
-    report, (ak, _) = iterate(
-        (problem.A.copy(), problem.Q.copy()),
+    report, state = iterate_doubling(
+        SmithState(Ak=problem.A.copy(), Qk=problem.Q.copy()),
         squared_smith_step,
-        lambda s, nq: map_residual(s[1], nq, _smith_map(s[1], problem)),
+        lambda q, nq: map_residual(q, nq, _smith_map(q, problem)),
         opts,
-        DEFAULT_DOUBLING_MAX_ITER,
-        solution=lambda s: s[1],
-        stop=a_overflow,
-        always_step=True,
     )
-    report.converged = report.converged and bool(np.linalg.norm(ak) < 1.0)
+    report.converged = report.converged and bool(np.linalg.norm(state.Ak) < 1.0)
     return report

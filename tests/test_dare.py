@@ -58,6 +58,17 @@ class TestFixedPointSolve:
         assert sol.report.iterations == 1
         assert np.allclose(sol.X_plus, q)
 
+    @pytest.mark.parametrize("n", [8, 32])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_rate_estimate_is_closed_loop_radius_squared(self, n, seed):
+        # the error contracts by rho(K)^2 per step, K = (I + G X_plus)^{-1} A
+        p = random_instance(seed, n)
+        sol = dare_fixed_point_solve(p, SolveOptions(tol=1e-12))
+        assert sol.report.converged
+        k = np.linalg.solve(np.eye(n) + p.G @ sol.X_plus, p.A)
+        rho = max(abs(np.linalg.eigvals(k)))
+        assert sol.report.rate_estimate == pytest.approx(rho**2, rel=0.15)
+
 
 class TestSdaSolve:
     def test_scalar_golden_ratio_with_dual(self):

@@ -1,13 +1,24 @@
 """The shared iteration driver ends overflowing runs through its own guards,
-without numpy's overflow warning reaching the caller."""
+without numpy's overflow warning reaching the caller, and ends every doubling
+method on its structural floor when tol is out of reach."""
 
 import warnings
 
 import numpy as np
 import pytest
 
-from riccati import CareProblem, SolveOptions, SteinProblem, newton_care_solve, squared_smith_solve
+from riccati import (
+    CareProblem,
+    SolveOptions,
+    SteinProblem,
+    cyclic_reduction_solve,
+    newton_care_solve,
+    sda_solve,
+    squared_smith_solve,
+)
 from riccati.errors import InnerSolveFailed
+from riccati.generators import GeneratorSpec, gen_problem
+from riccati.io import to_problem
 
 
 def squared_smith_diverges():
@@ -28,3 +39,23 @@ def test_overflow_stops_without_numpy_warning(run):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         run()
+
+
+@pytest.mark.parametrize(
+    "kind, solve",
+    [
+        ("stein", squared_smith_solve),
+        ("dare", lambda p, o: sda_solve(p, o).report),
+        ("nme", cyclic_reduction_solve),
+    ],
+    ids=["squared-smith", "sda", "cyclic-reduction"],
+)
+def test_doubling_ends_on_structural_floor(kind, solve):
+    # tol 1e-300 is out of reach: the run stops once ||A_k||^2 or the update
+    # falls below the floor, well inside the budget and at the tol-1e-12 X
+    p = to_problem(gen_problem(GeneratorSpec(kind=kind, n=6, seed=0)))
+    reference = solve(p, SolveOptions(tol=1e-12)).X
+    report = solve(p, SolveOptions(tol=1e-300, max_iter=200))
+    assert not report.converged
+    assert report.iterations < 200
+    assert np.linalg.norm(report.X - reference) <= 1e-10 * np.linalg.norm(reference)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -130,6 +132,14 @@ class TestSignRelationCheck:
     def test_random_two_steps(self):
         p = to_problem(gen_problem(GeneratorSpec(kind="care", n=2, seed=10)))
         assert sign_relation_check(p, 1.0, 2) <= 1e-8
+
+    @pytest.mark.parametrize("tau", [0.0, -1.0, float("nan"), float("inf")])
+    def test_invalid_tau_raises(self, tau):
+        p = CareProblem(A=[[0.0]], G=[[1.0]], Q=[[1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="positive and finite"):
+                sign_relation_check(p, tau, 2)
 
 
 class TestTridiagSchur:

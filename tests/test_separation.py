@@ -49,3 +49,13 @@ def test_solver_module_builds_no_report(module):
     tree = ast.parse(path.read_text(), filename=str(path))
     lines = [line for name, line in _called_names(tree) if name == "SolveReport"]
     assert lines == [], f"{module}.py constructs SolveReport on lines {lines}"
+
+
+@pytest.mark.parametrize("module", ("stein", "dare", "nme"))
+def test_equation_module_runs_map_or_doubling_driver(module):
+    """The basic iterations run on `iterate_map` and the doubling ones on
+    `iterate_doubling`; none calls the raw `iterate`."""
+    path = Path(riccati.__file__).with_name(f"{module}.py")
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = [line for name, line in _called_names(tree) if name == "iterate"]
+    assert lines == [], f"{module}.py calls iterate on lines {lines}"

@@ -68,12 +68,23 @@ class TestSquaredSmithSolve:
         assert abs(report.X[0, 0] - 1.0) <= 1e-12
         assert report.iterations <= 6
 
-    def test_a_zero_one_step(self):
+    def test_a_zero_no_step(self):
+        # Q_0 = Q is exact and ||A||_F = 0 < 1: nothing to step
         q = np.diag([1.0, 4.0])
         report = squared_smith_solve(SteinProblem(A=np.zeros((2, 2)), Q=q))
         assert report.converged
-        assert report.iterations == 1
+        assert report.iterations == 0
         assert np.allclose(report.X, q)
+
+    def test_exact_start_without_certificate(self):
+        # A nilpotent with ||A||_F = 2: Q_0 = Q is exact, but without a step
+        # the only certificate of rho(A) < 1, ||A_k||_F < 1, is not available
+        q = np.diag([0.0, 1.0])
+        report = squared_smith_solve(SteinProblem(A=[[0.0, 2.0], [0.0, 0.0]], Q=q))
+        assert report.iterations == 0
+        assert report.residual_history == [0.0]
+        assert not report.converged
+        assert np.array_equal(report.X, q)
 
     def test_overflow_guard_reports_not_converged(self):
         report = squared_smith_solve(SteinProblem(A=[[2.0]], Q=[[1.0]]), SolveOptions(max_iter=60))
@@ -136,6 +147,16 @@ class TestProperties:
         doubled = squared_smith_solve(p, SolveOptions(tol=1e-300, max_iter=4))
         ratio = doubled.residual_history[4] / basic.residual_history[16]
         assert 0.1 <= ratio <= 10.0
+
+    @pytest.mark.parametrize("n", [8, 32])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_smith_rate_estimate_is_rho_squared(self, n, seed):
+        # X - X_k = (A^*)^k X A^k, so the updates shrink by rho(A)^2 per step
+        p = to_problem(gen_problem(GeneratorSpec(kind="stein", n=n, seed=seed)))
+        report = smith_solve(p, SolveOptions(tol=1e-12))
+        assert report.converged
+        rho = max(abs(np.linalg.eigvals(p.A)))
+        assert report.rate_estimate == pytest.approx(rho**2, rel=2e-2)
 
 
 class TestProblemValidation:

@@ -217,7 +217,7 @@ class TestOneNormPerIterate:
     pivot floor.  Left out: cyclic reduction and the NME fixed point,
     because `cholesky_factor`'s pivot floor norms the iterate it factors,
     and Newton, because its inner doubling norms A_j both in its residual
-    and in `a_overflow`.
+    and in its overflow stop.
     """
 
     @staticmethod
