@@ -10,7 +10,6 @@ import numpy as np
 
 from riccati import (
     DareProblem,
-    closed_loop_radius,
     dare_fixed_point_solve,
     dare_residual,
     sda_solve,
@@ -36,7 +35,8 @@ def main():
     print(f"\nrandom n = 6 instance")
     print(f"  sda converged in {sol.report.iterations} iterations, "
           f"residual {dare_residual(sol.X_plus, problem):.3e}")
-    print(f"  closed-loop spectral radius {closed_loop_radius(sol.X_plus, problem):.6f}")
+    closed_loop = np.linalg.solve(np.eye(problem.n) + problem.G @ sol.X_plus, problem.A)
+    print(f"  closed-loop spectral radius {max(abs(np.linalg.eigvals(closed_loop))):.6f}")
     print(f"  Wiener-Hopf factorization defect {wiener_hopf_check(sol, problem):.3e}")
 
 

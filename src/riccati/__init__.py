@@ -22,7 +22,6 @@ from .dare import (
     DareSolution,
     DoublingState,
     build_symplectic,
-    closed_loop_radius,
     dare_fixed_point_solve,
     dare_residual,
     sda_solve,

@@ -27,7 +27,7 @@ from .linalg import (
     symmetrize,
 )
 from .lyapunov import cayley_reduce
-from .reporting import DEFAULT_DOUBLING_MAX_ITER, NORM_OVERFLOW, SolveOptions, iterate, iterate_map
+from .reporting import DEFAULT_DOUBLING_MAX_ITER, SolveOptions, iterate, iterate_map, relative
 from .stein import SmithState, squared_smith_step
 
 __all__ = [
@@ -85,11 +85,8 @@ def _care_residual(x, nx: float, problem: CareProblem) -> float:
     """`care_residual` of an X with ||X||_F = nx."""
     a, g, q = problem.A, problem.G, problem.Q
     raw = float(np.linalg.norm(q + a.conj().T @ x + x @ a - x @ g @ x))
-    if raw == 0.0:
-        return 0.0
     den = float(problem.norms["Q"]) + 2 * float(problem.norms["A"]) * nx
-    den += float(problem.norms["G"]) * nx**2
-    return raw / den
+    return relative(raw, den + float(problem.norms["G"]) * nx**2)
 
 
 def care_residual(x, problem: CareProblem) -> float:
@@ -247,9 +244,11 @@ def _kleinman_lyap_solve(closed_loop, rhs) -> np.ndarray:
 
     The doubling runs until ||A_j||_F <= sqrt(eps), where the remaining tail
     A_j^* X A_j is below rounding.  That stop also certifies A_cl Hurwitz:
-    ||A_j||_F < 1 proves rho(c(A_cl)) < 1.  A shift on the spectrum, an
-    overflow of A_j (||A_j||_F > 1e150) or no certificate within 60
-    doublings raises InnerSolveFailed.  This loop is not `iterate_doubling`,
+    ||A_j||_F < 1 proves rho(c(A_cl)) < 1.  A shift on the spectrum raises
+    InnerSolveFailed, and so does a doubling that ends on one of `iterate`'s
+    own guards (a non-finite ||A_j||_F, ||Q_j||_F > 1e150, or ||A_j||_F
+    stagnating, as on an imaginary-axis spectrum) or that finds no
+    certificate within 60 doublings.  This loop is not `iterate_doubling`,
     whose floor 1e-4 tol max(||Q_j||, 1) would stop it unconverged before
     ||A_j|| reaches sqrt(eps).  Both matrices come from `newton_care_solve`,
     built from a validated problem, so they are used unchecked.
@@ -267,7 +266,6 @@ def _kleinman_lyap_solve(closed_loop, rhs) -> np.ndarray:
         _INNER_OPTS,
         DEFAULT_DOUBLING_MAX_ITER,
         solution=lambda s: s.Qk,
-        stop=lambda s, *_: bool(np.linalg.norm(s.Ak) > NORM_OVERFLOW),
     )
     if not report.converged:
         raise InnerSolveFailed(

@@ -14,7 +14,6 @@ from .linalg import (
     lu_factor,
     solve_linear,
     solve_right,
-    spectral_radius_estimate,
     symmetrize,
 )
 from .reporting import SolveOptions, SolveReport, iterate_doubling, iterate_map, map_residual
@@ -85,14 +84,6 @@ def dare_residual(x, problem: DareProblem) -> float:
     X is not scanned: a non-finite X raises SingularMatrix (`dare_step`)."""
     x = np.asarray(x)
     return map_residual(x, float(np.linalg.norm(x)), _dare_map(x, problem))
-
-
-def closed_loop_radius(x, problem: DareProblem) -> float:
-    """Spectral-radius estimate of the closed loop (I + G X)^{-1} A, after
-    30 squarings."""
-    eye = np.eye(problem.n)
-    k = solve_linear(eye + problem.G @ as_matrix(x), problem.A)
-    return spectral_radius_estimate(k, 30)
 
 
 def dare_fixed_point_solve(

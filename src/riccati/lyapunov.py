@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import SingularMatrix, SingularShift
 from .linalg import LU, Coefficients, as_matrix, lu_factor, symmetrize
-from .reporting import DEFAULT_BASIC_MAX_ITER, SolveOptions, SolveReport, iterate
+from .reporting import DEFAULT_BASIC_MAX_ITER, SolveOptions, SolveReport, iterate, relative
 from .stein import SteinProblem, smith_step
 
 __all__ = [
@@ -121,9 +121,7 @@ def _lyap_residual(x, nx: float, problem: LyapunovProblem) -> float:
     """`lyap_residual` of an X with ||X||_F = nx."""
     a, q = problem.A, problem.Q
     raw = float(np.linalg.norm(a.conj().T @ x + x @ a + q))
-    if raw == 0.0:
-        return 0.0
-    return raw / float(problem.norms["Q"] + 2 * problem.norms["A"] * nx)
+    return relative(raw, float(problem.norms["Q"] + 2 * problem.norms["A"] * nx))
 
 
 def lyap_residual(x, problem: LyapunovProblem) -> float:

@@ -15,7 +15,7 @@ from .linalg import (
     spectral_radius_estimate,
     symmetrize,
 )
-from .reporting import SolveOptions, SolveReport, iterate_doubling, iterate_map, map_residual
+from .reporting import SolveOptions, SolveReport, iterate_doubling, iterate_map, map_residual, relative
 
 __all__ = [
     "NmeProblem",
@@ -205,8 +205,5 @@ def uqme_residual(y, problem: NmeProblem) -> float:
     y = as_matrix(y)
     a, q = problem.A, problem.Q
     raw = float(np.linalg.norm(a + q @ y + a.conj().T @ y @ y))
-    if raw == 0.0:
-        return 0.0
     ny = float(np.linalg.norm(y))
-    den = float(problem.norms["A"]) * (1.0 + ny**2) + float(problem.norms["Q"]) * ny
-    return raw / den
+    return relative(raw, float(problem.norms["A"]) * (1.0 + ny**2) + float(problem.norms["Q"]) * ny)

@@ -71,7 +71,8 @@ def rate_from_updates(update_norms) -> float:
     return float(np.exp(np.mean(np.log(ratios))))
 
 
-def _ratio(raw: float, scale: float) -> float:
+def relative(raw: float, scale: float) -> float:
+    """raw / scale, and 0 when raw is 0 whatever the scale."""
     return 0.0 if raw == 0.0 else raw / scale
 
 
@@ -79,7 +80,7 @@ def map_residual(x, nx: float, mapped) -> float:
     """||F(X) - X|| / scale(nx) from mapped = (F(X), scale), the value of a
     fixed-point map at X, and nx = ||X||_F."""
     x_next, scale = mapped
-    return _ratio(float(np.linalg.norm(x_next - x)), scale(nx))
+    return relative(float(np.linalg.norm(x_next - x)), scale(nx))
 
 
 def iterate(
@@ -163,7 +164,7 @@ def iterate_map(x0, fmap, opts: SolveOptions, first_iteration: int = 0):
     report, state = iterate(
         ahead(x0),
         lambda s: (ahead(s[1]), s[2]),
-        lambda s, nx: _ratio(s[2], s[3](nx)),
+        lambda s, nx: relative(s[2], s[3](nx)),
         opts,
         DEFAULT_BASIC_MAX_ITER,
         solution=lambda s: s[0],

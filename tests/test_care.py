@@ -1,4 +1,5 @@
 import re
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -348,6 +349,24 @@ class TestNewtonKleinman:
         p = CareProblem(A=[[0.5]], G=[[1.0]], Q=[[1.0]])
         with pytest.raises(InnerSolveFailed):
             newton_care_solve(p, np.zeros((1, 1)))
+
+    def test_imaginary_axis_closed_loop_fails_at_once(self):
+        # A has eigenvalues +-i, so c(A) is unitary and ||c(A)^(2^j)||_F = sqrt(2)
+        # for every j: the inner doubling stagnates after one step
+        p = CareProblem(A=[[0.0, 1.0], [-1.0, 0.0]], G=np.zeros((2, 2)), Q=np.eye(2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InnerSolveFailed, match=r"after 1 doublings"):
+                newton_care_solve(p, np.zeros((2, 2)))
+
+    def test_unstable_closed_loop_with_zero_rhs(self):
+        # G = Q = 0: the reduced right-hand side is 0, so ||Q_j|| never grows
+        # and only ||c(A)^(2^j)|| overflowing ends the inner doubling
+        p = CareProblem(A=[[2.0, 1.0], [0.0, 3.0]], G=np.zeros((2, 2)), Q=np.zeros((2, 2)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InnerSolveFailed, match=r"not Hurwitz"):
+                newton_care_solve(p, np.eye(2))
 
     def test_inner_stop_ignores_outer_tol(self):
         # a loose outer tol must not loosen the inner solves: one Newton step

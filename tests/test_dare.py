@@ -11,7 +11,7 @@ from riccati import (
     sda_solve,
     wiener_hopf_check,
 )
-from riccati.dare import DoublingState, closed_loop_radius, dare_step, sda_step
+from riccati.dare import DoublingState, dare_step, sda_step
 from riccati.generators import GeneratorSpec, gen_problem
 from riccati.io import to_problem
 from riccati.linalg import psd_check
@@ -22,6 +22,12 @@ PHI = (1 + np.sqrt(5)) / 2
 
 def random_instance(seed, n):
     return to_problem(gen_problem(GeneratorSpec(kind="dare", n=n, seed=seed)))
+
+
+def closed_loop_rho(x, p):
+    """rho((I + G X)^{-1} A) from numpy's eigenvalues."""
+    k = np.linalg.solve(np.eye(p.n) + p.G @ x, p.A)
+    return max(abs(np.linalg.eigvals(k)))
 
 
 class TestDareStep:
@@ -65,8 +71,7 @@ class TestFixedPointSolve:
         p = random_instance(seed, n)
         sol = dare_fixed_point_solve(p, SolveOptions(tol=1e-12))
         assert sol.report.converged
-        k = np.linalg.solve(np.eye(n) + p.G @ sol.X_plus, p.A)
-        rho = max(abs(np.linalg.eigvals(k)))
+        rho = closed_loop_rho(sol.X_plus, p)
         assert sol.report.rate_estimate == pytest.approx(rho**2, rel=0.15)
 
 
@@ -116,14 +121,14 @@ class TestSdaSolve:
         for seed in (1, 2, 3):
             p = random_instance(seed, 5)
             sol = sda_solve(p)
-            assert closed_loop_radius(sol.X_plus, p) < 1.0
+            assert closed_loop_rho(sol.X_plus, p) < 1.0
             assert psd_check(sol.X_plus, 1e-10) and psd_check(sol.Y_plus, 1e-10)
 
     def test_critical_instance_touches_boundary(self):
         p = to_problem(gen_problem(GeneratorSpec(kind="dare", n=4, seed=5, critical=True)))
         sol = sda_solve(p, SolveOptions(tol=1e-10))
         assert sol.report.converged
-        assert abs(closed_loop_radius(sol.X_plus, p) - 1.0) <= 1e-6
+        assert abs(closed_loop_rho(sol.X_plus, p) - 1.0) <= 1e-6
 
     def test_matches_subspace_oracle(self):
         for seed in (21, 22, 23):
@@ -169,12 +174,6 @@ class TestWienerHopf:
         sol = dare_fixed_point_solve(p)
         with pytest.raises(ValueError):
             wiener_hopf_check(sol, p)
-
-
-class TestClosedLoopRadius:
-    def test_scalar(self):
-        p = DareProblem(A=[[0.5]], G=[[0.0]], Q=[[0.0]])
-        assert closed_loop_radius(np.zeros((1, 1)), p) == pytest.approx(0.5, rel=1e-3)
 
 
 class TestProblemValidation:

@@ -19,9 +19,9 @@ def load_script():
 
 
 def test_every_cli_cell_has_an_entry():
-    fingerprint = load_script().fingerprint
+    script = load_script()
     # no critical instances: their basic iterations run to the 10^4 budget
-    entries = fingerprint(sizes=(1,), seeds=(0,), tols=(1e-12,), critical_kinds=())
+    entries = script.fingerprint(sizes=(1,), seeds=(0,), tols=(1e-12,), critical_kinds=())
     for kind, methods in SOLVERS.items():
         assert f"file {kind} n=1 seed=0" in entries
         for method in methods:
@@ -42,3 +42,6 @@ def test_every_cli_cell_has_an_entry():
     scalar = entries["care_sda_solve tau=1.0 scalar A=0 G=Q=1"]
     assert set(scalar) == LIBRARY_KEYS
     assert scalar["converged"] and scalar["iterations"] == 0
+    # Newton from a non-Hurwitz closed loop records its inner failure
+    for label in script.NEWTON_FAILURES:
+        assert entries[f"newton_care_solve {label}"]["error"].startswith("InnerSolveFailed: ")

@@ -56,6 +56,17 @@ class TestFixedPointSolve:
         assert abs(report.X[0, 0] - 1.0) <= 1e-3
         assert report.rate_estimate > 0.99
 
+    @pytest.mark.parametrize("n", [8, 32])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_rate_estimate_is_rho_y_squared(self, n, seed):
+        # the error contracts by rho(Y)^2 per step, Y = -X_plus^{-1} A; the
+        # run takes 5-8 steps, so the estimate rests on few ratios
+        p = random_instance(seed, n)
+        report = nme_fixed_point_solve(p, SolveOptions(tol=1e-12))
+        assert report.converged
+        rho = max(abs(np.linalg.eigvals(-np.linalg.solve(report.X, p.A))))
+        assert report.rate_estimate == pytest.approx(rho**2, rel=0.3)
+
     def test_critical_iterate_closed_form(self):
         # iterating x -> 2 - 1/x from 2 gives x_k = (k+2)/(k+1)
         x = np.array([[2.0]])

@@ -138,8 +138,8 @@ class TestNoUnreadDiagnostics:
         ids=["sda", "care-sda", "dare-fixed-point"],
     )
     def test_no_spectral_radius_estimate(self, monkeypatch, kind, solve):
-        # the closed-loop radius is a diagnostic computed on demand
-        # (dare.closed_loop_radius); no solve pays its 30 squarings
+        # the closed-loop radius is not computed by any solve: no solve
+        # pays the 30 squarings of a spectral-radius estimate
         p = instance(kind)  # the generator scales A by the estimate
         calls = counting_everywhere(monkeypatch, "spectral_radius_estimate")
         assert solve(p).report.converged
@@ -216,8 +216,9 @@ class TestOneNormPerIterate:
     Sign norms each H_k twice: in `reporting.iterate` and in `lu_factor`'s
     pivot floor.  Left out: cyclic reduction and the NME fixed point,
     because `cholesky_factor`'s pivot floor norms the iterate it factors,
-    and Newton, because its inner doubling norms A_j both in its residual
-    and in its overflow stop.
+    and Newton, because each inner solution Q_j is normed by the inner
+    doubling as its last iterate and by the outer loop as X_{k+1}.  Its
+    inner doubling norms A_j once, in its residual.
     """
 
     @staticmethod

@@ -10,7 +10,9 @@ overflow guard.  Besides the grid it runs `sign_solve` unscaled at two
 tolerances on each CARE instance (the CLI runs only determinantal scaling),
 records `stein_residual`, `dare_residual` and `nme_residual` at X = Q on
 each instance of their kind, and runs `care_sda_solve` on the scalar CARE
-A = 0, G = Q = 1 at three shifts.  Run it on two
+A = 0, G = Q = 1 at three shifts.  It also runs `newton_care_solve` on
+constructed cases whose closed loop is not Hurwitz (NEWTON_FAILURES), so
+the entries record where and how its inner doubling gives up.  Run it on two
 checkouts and diff the outputs to see which results a change moved:
 
     python3 tools/fingerprint.py > after.json
@@ -61,6 +63,15 @@ CARE_SDA_TAUS = (None, 0.5, 2.0, 1e-6)
 SCALAR_CARE = CareProblem(A=[[0.0]], G=[[1.0]], Q=[[1.0]])
 SCALAR_CARE_TAUS = (None, 1.0, 2.0)
 SIGN_TOLS = (1e-12, 1e-3)
+# Newton starts whose first closed loop A - G X_0 is not Hurwitz: label ->
+# (problem, X_0).  With Q = G = 0 and X_0 = I the reduced right-hand side is
+# 0, so only ||A_j|| can end the inner doubling.
+_ZERO = np.zeros((2, 2))
+NEWTON_FAILURES = {
+    "eigenvalues +-i": (CareProblem(A=[[0.0, 1.0], [-1.0, 0.0]], G=_ZERO, Q=np.eye(2)), _ZERO),
+    "eigenvalues 2, 3 Q=0": (CareProblem(A=[[2.0, 1.0], [0.0, 3.0]], G=_ZERO, Q=_ZERO), np.eye(2)),
+    "Jordan block at 1 Q=0": (CareProblem(A=[[1.0, -50.0], [0.0, 1.0]], G=_ZERO, Q=_ZERO), np.eye(2)),
+}
 RESIDUALS = {"stein": stein_residual, "dare": dare_residual, "nme": nme_residual}
 STOP_PATHS = (SolveOptions(tol=1e-12, max_iter=1), SolveOptions(tol=1e-300, max_iter=200))
 # rho(A) > 1: the Stein iterations diverge and stop on the overflow guard
@@ -143,6 +154,8 @@ def fingerprint(sizes=SIZES, seeds=SEEDS, tols=TOLS, critical_kinds=CRITICAL_KIN
         out[f"care_sda_solve tau={tau} scalar A=0 G=Q=1"] = _entry(
             lambda: (care_sda_solve(SCALAR_CARE, tau).report, None)
         )
+    for label, (p, x0) in NEWTON_FAILURES.items():
+        out[f"newton_care_solve {label}"] = _entry(lambda: (newton_care_solve(p, x0).report, None))
     return out
 
 
