@@ -9,7 +9,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .dare import DareProblem, DareSolution, sda_solve
 from .errors import (
@@ -22,6 +21,7 @@ from .errors import (
 )
 from .linalg import (
     Coefficients,
+    _scipy_linalg,
     as_matrix,
     lu_factor,
     symmetrize,
@@ -220,7 +220,9 @@ def sign_extract(h_inf) -> np.ndarray:
     n = size // 2
     shifted = h_inf + np.eye(size)
     left, right = shifted[:, n:], -shifted[:, :n]
-    geqrf, ormqr, trcon = scipy.linalg.lapack.get_lapack_funcs(("geqrf", "ormqr", "trcon"), (left,))
+    geqrf, ormqr, trcon, trtrs = _scipy_linalg().lapack.get_lapack_funcs(
+        ("geqrf", "ormqr", "trcon", "trtrs"), (left,)
+    )
     # Householder QR, and Q^* applied to the right-hand side by its
     # reflectors; lwork leaves room for LAPACK's blocked kernels
     lwork = 64 * n
@@ -236,7 +238,11 @@ def sign_extract(h_inf) -> np.ndarray:
     rcond, _ = trcon(r, norm="1", uplo="U")
     if not rcond >= 1e-8:
         raise SingularU1("top block of the null-space basis is ill conditioned")
-    return symmetrize(scipy.linalg.solve_triangular(r, c[:n], check_finite=False))
+    # R X = C[:n] as the transposed solve with the lower triangle R^T: the
+    # call scipy.linalg.solve_triangular makes for this row slice of QR, so
+    # X has the bits it had through that wrapper
+    x, _ = trtrs(r.T, c[:n], lower=1, trans=1)
+    return symmetrize(x)
 
 
 def _kleinman_lyap_solve(closed_loop, rhs) -> np.ndarray:

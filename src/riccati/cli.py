@@ -71,7 +71,7 @@ def _lr_adi(problem, opts, shifts):
 # holds another quantity (which `--trace` writes as it is).  `bench` pairs the
 # first (basic) and last (doubling) method of each kind, newton and sda for
 # care.  Solvers and residuals are looked up by name at call time, so patched
-# module bindings are the ones called.
+# module bindings are the ones called.  Only the Lyapunov cells read shifts.
 SOLVERS = {
     "stein": {
         "smith": lambda p, o, s: _last(smith_solve(p, o)),
@@ -145,6 +145,13 @@ def cmd_solve(args) -> int:
         print(
             f"unknown method {args.method!r} for kind {pf.kind!r}; "
             f"choose from {', '.join(SOLVERS[pf.kind])}",
+            file=sys.stderr,
+        )
+        return EXIT_USAGE
+    if args.shifts and pf.kind != "lyapunov":
+        print(
+            f"--shifts is read only by the lyapunov methods ({', '.join(SOLVERS['lyapunov'])}), "
+            f"not by {pf.kind} method {args.method!r}",
             file=sys.stderr,
         )
         return EXIT_USAGE
@@ -249,8 +256,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    if not args.sizes:
-        print("bench: --sizes must be a nonempty list", file=sys.stderr)
+    if not args.sizes or min(args.sizes) < 1:
+        print("bench: --sizes must be a nonempty list of sizes >= 1", file=sys.stderr)
         return EXIT_USAGE
     methods = list(SOLVERS[args.kind])
     out = open(args.output, "w", newline="\n") if args.output else sys.stdout

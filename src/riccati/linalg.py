@@ -9,6 +9,13 @@ the residual scales every iterate reads.  Everything here is pure: no routine
 mutates its arguments.  LU and Cholesky factorizations call LAPACK
 (getrf/getrs/getri, potrf) directly, without scipy's checking wrappers.
 
+This is the one module of the package that imports scipy, and it does so
+the first time a kernel needs LAPACK or BLAS, through `_scipy_linalg`
+(`care`'s sign extraction and `oracle`'s Schur form get it there too).
+`import scipy.linalg` takes longer than numpy's own import, and a command
+that only generates or reads problems, such as `riccati gen`, runs on numpy
+alone and does not pay it.
+
 Data is checked where it enters: `as_matrix` scans for non-finite entries,
 and the problem classes, `hermitian_part`, `psd_check` and
 `spectral_radius_estimate` go through it.  The factorizations and `LU.solve`
@@ -16,10 +23,9 @@ run on every iterate and do not scan; a NaN or inf entry makes ||M||_F
 non-finite, and the factorizations raise SingularMatrix on that.
 """
 
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .errors import SingularMatrix
 
@@ -39,6 +45,14 @@ __all__ = [
     "Coefficients",
     "spectral_radius_estimate",
 ]
+
+
+@cache
+def _scipy_linalg():
+    """scipy.linalg, imported on the first call."""
+    import scipy.linalg
+
+    return scipy.linalg
 
 
 def as_matrix(a) -> np.ndarray:
@@ -118,13 +132,13 @@ class LU:
         if b.shape[0] != self.pivots.shape[0]:
             raise SingularMatrix("dimension mismatch between M and B")
         # the routine follows the field of both operands, as scipy.linalg.lu_solve's does
-        getrs = scipy.linalg.lapack.get_lapack_funcs("getrs", (self._lu, b))
+        getrs = _scipy_linalg().lapack.get_lapack_funcs("getrs", (self._lu, b))
         x, _ = getrs(self._lu, self._piv, b, trans=trans)
         return x
 
     def inverse(self) -> np.ndarray:
         """M^{-1} from the same factors (LAPACK getri)."""
-        getri = scipy.linalg.lapack.get_lapack_funcs("getri", (self._lu,))
+        getri = _scipy_linalg().lapack.get_lapack_funcs("getri", (self._lu,))
         # room for LAPACK's blocked kernel (block size 64); the default
         # workspace runs the slower unblocked one
         inv, _ = getri(self._lu, self._piv, lwork=64 * self._lu.shape[0])
@@ -152,7 +166,7 @@ def lu_factor(m) -> LU:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise SingularMatrix("coefficient matrix must be square")
     floor = _pivot_floor(m)
-    getrf = scipy.linalg.lapack.get_lapack_funcs("getrf", (m,))
+    getrf = _scipy_linalg().lapack.get_lapack_funcs("getrf", (m,))
     # an exact zero pivot (info > 0) fails the pivot test below
     factors, piv, _ = getrf(m)
     lu = LU(factors, piv)
@@ -182,7 +196,7 @@ class Cholesky:
     def half_solve(self, b) -> np.ndarray:
         if np.shape(b)[0] != self._r.shape[0]:
             raise SingularMatrix("dimension mismatch between M and B")
-        trsm = scipy.linalg.blas.get_blas_funcs("trsm", (self._r, b))
+        trsm = _scipy_linalg().blas.get_blas_funcs("trsm", (self._r, b))
         return trsm(1.0, self._r, b, trans_a=2)
 
 
@@ -197,7 +211,7 @@ def cholesky_factor(m) -> Cholesky:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise SingularMatrix("coefficient matrix must be square")
     floor = _pivot_floor(m)
-    potrf = scipy.linalg.lapack.get_lapack_funcs("potrf", (m,))
+    potrf = _scipy_linalg().lapack.get_lapack_funcs("potrf", (m,))
     r, info = potrf(m, lower=0, clean=0)
     if info != 0:
         raise SingularMatrix("matrix is not positive definite")

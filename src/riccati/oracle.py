@@ -12,7 +12,6 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .care import CareProblem, hamiltonian
 from .dare import DareProblem, DoublingState, build_symplectic
@@ -23,7 +22,7 @@ from .errors import (
     SingularU1,
 )
 from .lyapunov import LyapunovProblem
-from .linalg import as_matrix, solve_linear, solve_right, symmetrize
+from .linalg import _scipy_linalg, as_matrix, solve_linear, solve_right, symmetrize
 from .nme import CrState, NmeProblem
 from .stein import SteinProblem
 
@@ -125,7 +124,7 @@ def invariant_subspace_solve(m, region: str) -> np.ndarray:
         select = lambda lam: bool(lam.real < -margin)
     else:
         raise ValueError(f"unknown region {region!r}")
-    _, z, sdim = scipy.linalg.schur(m, output="complex", sort=select)
+    _, z, sdim = _scipy_linalg().schur(m, output="complex", sort=select)
     if sdim != n:
         raise RegionCountMismatch(f"{sdim} eigenvalues strictly in region, expected {n}")
     u1, u2 = z[:n, :n], z[n:, :n]

@@ -1,10 +1,15 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import riccati
 from riccati.care import care_residual
 from riccati.cli import SOLVERS, _solve_dispatch, main
 from riccati.dare import dare_residual
@@ -343,6 +348,25 @@ class TestSolveCommand:
         assert main(["solve", "--input", str(path), *flags]) == 1
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "kind, method",
+        [("dare", "sda"), ("dare", "fixed-point"), ("stein", "smith"), ("care", "sign"), ("nme", "cr")],
+    )
+    def test_shifts_on_unshifted_method_exit_64(self, tmp_path, capsys, kind, method):
+        path = tmp_path / "p.json"
+        assert main(["gen", "--kind", kind, "--n", "4", "--seed", "0", "--output", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["solve", "--input", str(path), "--method", method, "--shifts", "1"]) == 64
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "--shifts" in err and "adi, lr-adi, cayley-smith" in err
+
+    @pytest.mark.parametrize("method", ["adi", "lr-adi", "cayley-smith"])
+    def test_lyapunov_methods_take_shifts(self, tmp_path, method):
+        path = tmp_path / "p.json"
+        assert main(["gen", "--kind", "lyapunov", "--n", "4", "--seed", "0", "--output", str(path)]) == 0
+        assert main(["solve", "--input", str(path), "--method", method, "--shifts", "1.5"]) == 0
+
     def test_unknown_method_exit_64(self, tmp_path):
         path = self.gen(tmp_path)
         assert main(["solve", "--input", str(path), "--method", "qr"]) == 64
@@ -569,6 +593,14 @@ class TestBenchCommand:
     def test_empty_sizes_exit_64(self):
         assert main(["bench", "--kind", "stein", "--sizes"]) == 64
 
+    @pytest.mark.parametrize("sizes", [["4", "0"], ["0", "4"], ["4", "-2"]])
+    def test_invalid_size_exit_64_before_any_output(self, tmp_path, capsys, sizes):
+        out = tmp_path / "bench.csv"
+        assert main(["bench", "--kind", "stein", "--sizes", *sizes]) == 64
+        assert main(["bench", "--kind", "stein", "--sizes", *sizes, "--output", str(out)]) == 64
+        assert capsys.readouterr().out == ""
+        assert not out.exists()
+
 
 class TestProblemSizeField:
     @pytest.mark.parametrize("n", ["abc", 2.5, True, None, 0])
@@ -587,3 +619,38 @@ class TestNewtonAboveOracleCap:
         capsys.readouterr()
         assert main(["solve", "--input", str(path), "--method", "newton"]) == 0
         assert "converged: True" in capsys.readouterr().out
+
+
+def _fresh_interpreter(code: str, cwd) -> str:
+    """stdout of `python -c code` in a new interpreter on this riccati."""
+    src = str(Path(riccati.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, cwd=cwd, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+SCIPY_MODULES = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+
+
+class TestImportBoundary:
+    """Importing the package and generating a problem run on numpy alone:
+    scipy loads at the first factorization."""
+
+    def test_import_loads_no_scipy(self, tmp_path):
+        out = _fresh_interpreter(f"import sys, riccati, riccati.cli; print({SCIPY_MODULES})", tmp_path)
+        assert out == "[]\n"
+
+    def test_gen_loads_no_scipy_and_solve_still_converges(self, tmp_path):
+        code = (
+            "import sys\n"
+            "from riccati import cli\n"
+            "code = cli.main(['gen', '--kind', 'dare', '--n', '8', '--seed', '1', '--output', 'p.json'])\n"
+            f"print(code, {SCIPY_MODULES})\n"
+            "print(cli.main(['solve', '--input', 'p.json', '--method', 'sda']))\n"
+            "print('scipy.linalg' in sys.modules)\n"
+        )
+        lines = _fresh_interpreter(code, tmp_path).splitlines()
+        assert lines[0] == "wrote dare instance n=8 seed=1 to p.json"
+        assert lines[1] == "0 []"
+        assert lines[-3:] == ["converged: True", "0", "True"]

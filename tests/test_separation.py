@@ -59,3 +59,16 @@ def test_equation_module_runs_map_or_doubling_driver(module):
     tree = ast.parse(path.read_text(), filename=str(path))
     lines = [line for name, line in _called_names(tree) if name == "iterate"]
     assert lines == [], f"{module}.py calls iterate on lines {lines}"
+
+
+def test_only_linalg_imports_scipy():
+    """scipy is imported once in the package, by `linalg`, at the first
+    factorization; every other module reaches LAPACK through `linalg`."""
+    package = Path(riccati.__file__).parent
+    importers = [
+        path.stem
+        for path in sorted(package.glob("*.py"))
+        for name in _imported_modules(ast.parse(path.read_text(), filename=str(path)))
+        if name.split(".")[0] == "scipy"
+    ]
+    assert importers == ["linalg"]
