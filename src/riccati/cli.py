@@ -7,6 +7,7 @@ and LF line endings; wall-clock columns are informational only.
 
 import argparse
 import csv
+import gc
 import sys
 import time
 
@@ -334,5 +335,19 @@ def main(argv=None) -> int:
         return EXIT_ERROR
 
 
+def run():
+    """The process entry point of `riccati` and `python -m riccati.cli`:
+    `main()` with the cyclic garbage collector off, then the heap frozen so
+    the interpreter's final collection skips it, then exit with main's
+    status.  A command makes almost no cyclic garbage, while the collector
+    would walk numpy's and scipy's import-time objects again and again.
+    Call `main()` to run a command inside a longer-lived process."""
+    gc.disable()
+    try:
+        sys.exit(main())
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

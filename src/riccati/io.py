@@ -5,7 +5,7 @@ JSON on disk.  Format 2, the only one written, stores each matrix as
 entries in C order} and carries a top-level "format": 2.  A file without
 "format" is format 1, where each matrix is a nested list of [re, im] pairs;
 those files still load to the same arrays.  Shifts are [re, im] pairs in
-both formats.
+both formats, and only a lyapunov file may carry them.
 """
 
 import base64
@@ -48,6 +48,8 @@ class ProblemFile:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ParseError(f"unknown kind {self.kind!r}")
+        if self.shifts is not None and self.kind != "lyapunov":
+            raise ParseError(f"kind={self.kind} has field 'shifts', which only kind=lyapunov reads")
         for f in fields(PROBLEMS[self.kind]):
             if f.default is MISSING and f.name not in self.matrices:
                 raise ParseError(f"kind={self.kind} requires matrix {f.name!r}")

@@ -310,7 +310,8 @@ def spectral_radius_estimate(m, max_doublings: int = 20) -> float:
         nrm = float(np.linalg.norm(power))
         if nrm == 0.0:
             return 0.0
-        power = (power / nrm) @ (power / nrm)
+        power = power / nrm
+        power = power @ power
         log_scale = 2.0 * (log_scale + np.log(nrm))
         # estimate after j doublings: exp((log ||M^(2^j)||) / 2^j)
     final = float(np.linalg.norm(power))

@@ -1,4 +1,5 @@
 import csv
+import gc
 import json
 import math
 import os
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 import riccati
+from riccati import cli
 from riccati.care import care_residual
 from riccati.cli import SOLVERS, _solve_dispatch, main
 from riccati.dare import dare_residual
@@ -91,6 +93,16 @@ class TestProblemFileIO:
     def test_problem_file_rejects_bad_matrix(self, kind, matrices, named):
         with pytest.raises(ParseError, match=named):
             ProblemFile(kind=kind, n=1, matrices=matrices)
+
+    @pytest.mark.parametrize("kind", ["stein", "dare", "care", "nme"])
+    def test_shifts_only_in_lyapunov_file(self, tmp_path, kind):
+        path = tmp_path / "p.json"
+        save_problem(path, gen_problem(GeneratorSpec(kind=kind, n=2, seed=0)))
+        doc = json.loads(path.read_text())
+        doc["shifts"] = [[1.0, 0.0]]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match=f"kind={kind} has field 'shifts', which only kind=lyapunov reads"):
+            load_problem(path)
 
     def test_shifts_round_trip(self, tmp_path):
         pf = gen_problem(GeneratorSpec(kind="lyapunov", n=2, seed=2))
@@ -376,6 +388,19 @@ class TestSolveCommand:
             main(["solve", "--method", "smith"])
         assert exc.value.code == 64
 
+    @pytest.mark.parametrize("command", [["solve", "--method", "sda"], ["verify"]])
+    def test_file_shifts_on_dare_exit_1(self, tmp_path, capsys, command):
+        path = tmp_path / "p.json"
+        assert main(["gen", "--kind", "dare", "--n", "4", "--seed", "0", "--output", str(path)]) == 0
+        doc = json.loads(path.read_text())
+        doc["shifts"] = [[1.0, 0.0]]
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main([command[0], "--input", str(path), *command[1:]]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "'shifts'" in err and "lyapunov" in err
+
     def test_missing_file_exit_1(self):
         assert main(["solve", "--input", "/nonexistent.json", "--method", "smith"]) == 1
 
@@ -654,3 +679,63 @@ class TestImportBoundary:
         assert lines[0] == "wrote dare instance n=8 seed=1 to p.json"
         assert lines[1] == "0 []"
         assert lines[-3:] == ["converged: True", "0", "True"]
+
+
+@pytest.fixture
+def collector():
+    """Gives back the enabled, unfrozen collector that `cli.run` changes."""
+    yield
+    gc.enable()
+    gc.unfreeze()
+
+
+class TestEntryPoint:
+    """`cli.run` runs a command with the collector off, freezes the heap and
+    exits with the command's status; `cli.main` leaves the collector alone."""
+
+    @pytest.mark.parametrize("status", [0, 1, 2, 64])
+    def test_exits_with_main_status_collector_off(self, monkeypatch, collector, status):
+        enabled = []
+
+        def command():
+            enabled.append(gc.isenabled())
+            return status
+
+        monkeypatch.setattr(cli, "main", command)
+        with pytest.raises(SystemExit) as exc:
+            cli.run()
+        assert exc.value.code == status
+        assert enabled == [False]
+        assert gc.get_freeze_count() > 0
+
+    def test_usage_error_exits_64(self, monkeypatch, collector, capsys):
+        monkeypatch.setattr(sys, "argv", ["riccati", "solve", "--method", "smith"])
+        with pytest.raises(SystemExit) as exc:
+            cli.run()
+        assert exc.value.code == 64
+        assert gc.get_freeze_count() > 0
+        assert "--input" in capsys.readouterr().err
+
+    def test_main_keeps_the_collector(self, tmp_path):
+        frozen = gc.get_freeze_count()
+        path = tmp_path / "p.json"
+        assert main(["gen", "--kind", "stein", "--n", "3", "--seed", "0", "--output", str(path)]) == 0
+        assert gc.isenabled()
+        assert gc.get_freeze_count() == frozen
+
+    def test_module_runs_through_run(self, tmp_path):
+        code = (
+            "import atexit, gc, runpy, sys\n"
+            "atexit.register(lambda: print(gc.isenabled(), gc.get_freeze_count() > 0))\n"
+            "sys.argv = ['riccati', 'gen', '--kind', 'stein', '--n', '3', '--output', 'p.json']\n"
+            "runpy.run_module('riccati.cli', run_name='__main__')\n"
+        )
+        lines = _fresh_interpreter(code, tmp_path).splitlines()
+        assert lines == ["wrote stein instance n=3 seed=0 to p.json", "False True"]
+
+    def test_console_script_is_run(self):
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(riccati.__file__).resolve().parents[2] / "pyproject.toml"
+        with open(pyproject, "rb") as fh:
+            scripts = tomllib.load(fh)["project"]["scripts"]
+        assert scripts == {"riccati": "riccati.cli:run"}

@@ -182,6 +182,36 @@ class TestSpectralRadiusEstimate:
         assert spectral_radius_estimate(m, j) >= 0.9 - 1e-12
 
 
+def _two_division_estimate(m, max_doublings):
+    """The estimate as computed with `(power / nrm) @ (power / nrm)`."""
+    power = as_matrix(m)
+    log_scale = 0.0
+    for _ in range(max_doublings):
+        nrm = float(np.linalg.norm(power))
+        if nrm == 0.0:
+            return 0.0
+        power = (power / nrm) @ (power / nrm)
+        log_scale = 2.0 * (log_scale + np.log(nrm))
+    final = float(np.linalg.norm(power))
+    if final == 0.0:
+        return 0.0
+    return float(np.exp((log_scale + np.log(final)) / 2.0**max_doublings))
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("n", [1, 6, 32])
+@pytest.mark.parametrize("max_doublings", [1, 20, 40])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_spectral_radius_estimate_bits_of_two_divisions(field, n, max_doublings, seed):
+    """Dividing once and squaring the quotient gives the float of dividing
+    twice, so generated files stay byte-identical."""
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal((n, n))
+    if field == "complex":
+        m = m + 1j * rng.standard_normal((n, n))
+    assert spectral_radius_estimate(m, max_doublings) == _two_division_estimate(m, max_doublings)
+
+
 class TestMinPivot:
     def test_identity(self):
         assert lu_factor(np.eye(3)).min_pivot == pytest.approx(1.0)

@@ -72,3 +72,28 @@ def test_only_linalg_imports_scipy():
         if name.split(".")[0] == "scipy"
     ]
     assert importers == ["linalg"]
+
+
+def _collector_calls(tree):
+    """The line of every `gc.<function>(...)` call anywhere in the tree."""
+    return {
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "gc"
+    }
+
+
+def test_only_cli_run_touches_the_collector():
+    """The garbage collector belongs to the host process: only the process
+    entry point `cli.run` imports `gc` and calls it, so no library import or
+    solver changes a host application's collector."""
+    package = Path(riccati.__file__).parent
+    trees = {path.stem: ast.parse(path.read_text(), filename=str(path)) for path in sorted(package.glob("*.py"))}
+    importers = [stem for stem, tree in trees.items() if "gc" in _imported_modules(tree)]
+    assert importers == ["cli"]
+    (run,) = [node for node in trees["cli"].body if isinstance(node, ast.FunctionDef) and node.name == "run"]
+    assert _collector_calls(run)
+    assert _collector_calls(trees["cli"]) == _collector_calls(run)
