@@ -75,10 +75,18 @@ class SignOptions(SolveOptions):
         super().__post_init__()
 
 
+def _blocks(a, b, c, d) -> np.ndarray:
+    """[A B; C D] of four n x n blocks, filled into one array."""
+    n = a.shape[0]
+    out = np.empty((2 * n, 2 * n), dtype=np.result_type(a, b, c, d))
+    out[:n, :n], out[:n, n:], out[n:, :n], out[n:, n:] = a, b, c, d
+    return out
+
+
 def hamiltonian(problem: CareProblem) -> np.ndarray:
     """The Hamiltonian matrix [A -G; -Q -A^*]."""
     a, g, q = problem.A, problem.G, problem.Q
-    return np.block([[a, -g], [-q, -a.conj().T]])
+    return _blocks(a, -g, -q, -a.conj().T)
 
 
 def _care_residual(x, nx: float, problem: CareProblem) -> float:
@@ -109,12 +117,14 @@ def care_to_dare(problem: CareProblem, tau: float) -> DareProblem:
         raise ValueError("tau must be positive and finite")
     a, g, q = problem.A, problem.G, problem.Q
     n = problem.n
-    eye = np.eye(n)
-    k = np.block([[a - tau * eye, -g], [q, a.conj().T - tau * eye]])
+    k = _blocks(a, -g, q, a.conj().T)
+    k[np.diag_indices(2 * n)] -= tau
     try:
-        m = np.eye(2 * n) + 2 * tau * lu_factor(k).inverse()
+        m = lu_factor(k).inverse()
     except SingularMatrix as exc:
         raise SingularShift(f"tau={tau} is (numerically) an eigenvalue of H") from exc
+    m *= 2 * tau
+    m[np.diag_indices(2 * n)] += 1.0
     try:
         # G_d and Q_d are symmetrized, so definiteness is the one check
         # DareProblem can fail on them
@@ -172,7 +182,8 @@ def sign_solve(problem: CareProblem, opts: SolveOptions = SignOptions()) -> Dare
     `residual_history` holds the relative steps ||H_{k+1} - H_k|| / ||H_k||,
     and X is extracted from the map's last value F(X_last) = H_K, K the
     iteration count.  One factorization of H_k gives both tau and
-    (H_k/tau)^{-1} = tau H_k^{-1}, inverted from the same factors (getri).
+    (H_k/tau)^{-1} = tau H_k^{-1}, inverted from the same factors (getri);
+    the step scales that inverse by tau/2 in place and adds H_k/(2 tau).
     The iteration stops at a step of min(opts.tol, 1e-5), since a looser
     stop leaves H_k too far from a sign matrix to extract X.  A run that
     stops unconverged (budget, stagnation) on an H_k the extraction rejects
@@ -185,7 +196,10 @@ def sign_solve(problem: CareProblem, opts: SolveOptions = SignOptions()) -> Dare
     def sign_map(h):
         lu = lu_factor(h)
         tau = _geometric_mean(lu.pivots) if determinantal else 1.0
-        return (h / tau + tau * lu.inverse()) / 2, lambda nh: nh
+        step = lu.inverse()
+        step *= tau / 2
+        step += h / (2 * tau)
+        return step, lambda nh: nh
 
     report, h = iterate_map(
         hamiltonian(problem),

@@ -6,8 +6,13 @@ promote to complex where real meets complex.  Whether a problem's data is
 real is decided once, by value, in `Coefficients`, which also holds the
 Frobenius norms of a problem's coefficients, computed once per problem, for
 the residual scales every iterate reads.  Everything here is pure: no routine
-mutates its arguments.  LU and Cholesky factorizations call LAPACK
-(getrf/getrs/getri, potrf) directly, without scipy's checking wrappers.
+mutates its arguments.  The kernels call LAPACK directly, without scipy's
+checking wrappers: getrf for LU, getrs for a solve with few right-hand sides
+(`LU.solve`), getri for an inverse that a caller applies to a wide block as
+one matrix product (`LU.inverse`: SDA's [A_k, G_k], the Cayley reductions,
+the sign step), potrf for Cholesky, and sytrf/hetrf, an LDL^* factorization
+whose inertia decides definiteness (`psd_check`), in place of eigenvalues.
+Each call site picks its kernel; `LU.solve` has no switch.
 
 This is the one module of the package that imports scipy, and it does so
 the first time a kernel needs LAPACK or BLAS, through `_scipy_linalg`
@@ -231,15 +236,56 @@ def solve_right(b, m) -> np.ndarray:
     return solve_linear(as_matrix(m).conj().T, as_matrix(b).conj().T).conj().T
 
 
+def _negative_eigenvalues(h) -> int:
+    """The number of negative eigenvalues of Hermitian H, read off the
+    Bunch-Kaufman factorization P H P^T = L D L^* (LAPACK sytrf for real H,
+    hetrf for complex), which by Sylvester's law of inertia has as many
+    negative eigenvalues as the block-diagonal D.
+
+    A 1 x 1 block counts when it is negative.  A 2 x 2 block [a b; b* c]
+    has one negative eigenvalue when its determinant ac - |b|^2 is negative,
+    two when the determinant is positive and its trace negative, and one when
+    the determinant is 0 and the trace negative; the determinant is formed
+    from entries divided by the block's largest modulus, so it cannot overflow.
+    """
+    trf = _scipy_linalg().lapack.get_lapack_funcs("hetrf" if np.iscomplexobj(h) else "sytrf", (h,))
+    # lwork leaves room for LAPACK's blocked kernel, as in `LU.inverse`;
+    # an exactly zero pivot (info > 0) is a zero eigenvalue, not a failure
+    ldu, ipiv, _ = trf(h, lower=1, lwork=64 * h.shape[0])
+    d = ldu.diagonal().real
+    # both rows of a 2 x 2 block carry the same negative ipiv, so the rows of
+    # the 2 x 2 blocks, in order, pair up as (k, k + 1)
+    paired = ipiv < 0
+    negative = int(np.count_nonzero(d[~paired] < 0))
+    first = np.flatnonzero(paired)[::2]
+    if first.size:
+        a, c, b = d[first], d[first + 1], np.abs(ldu[first + 1, first])
+        top = np.maximum(np.maximum(np.abs(a), np.abs(c)), b)
+        a, c, b = a / top, c / top, b / top
+        det, trace = a * c - b * b, a + c
+        negative += int(np.sum(np.where(det < 0, 1, np.where(trace < 0, 1 + (det > 0), 0))))
+    return negative
+
+
 def psd_check(m, tol: float = 0.0) -> bool:
-    """True iff the smallest eigenvalue of Hermitian M is >= -tol * max(1, ||M||_F)."""
-    m = symmetrize(as_matrix(m))
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
+    """True iff the smallest eigenvalue of Hermitian M is >= -tol * max(1, ||M||_F).
+
+    Decided without eigenvalues: that holds exactly when M + tol max(1,
+    ||M||_F) I has no negative eigenvalue, which is counted from its LDL^*
+    factorization (`_negative_eigenvalues`), about a quarter of the cost of
+    `np.linalg.eigvalsh` at n = 128.  M is read through its Hermitian part;
+    a non-square M or a negative or non-finite tol raises ValueError.
+    """
+    m = as_matrix(m)
+    if m.shape[0] != m.shape[1]:
+        raise ValueError("Hermitian matrices must be square")
+    if not 0.0 <= tol < np.inf:
+        raise ValueError("tol must be nonnegative and finite")
     if m.size == 0:
         return True
-    lam_min = float(np.linalg.eigvalsh(m)[0])
-    return lam_min >= -tol * max(1.0, float(np.linalg.norm(m)))
+    m = symmetrize(m)
+    m[np.diag_indices_from(m)] += tol * max(1.0, float(np.linalg.norm(m)))
+    return _negative_eigenvalues(m) == 0
 
 
 class Coefficients:

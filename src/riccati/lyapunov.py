@@ -95,16 +95,18 @@ def cayley_reduce(a, q, tau: complex) -> tuple[np.ndarray, np.ndarray]:
     """Unvalidated Stein coefficients c(A) = (A - conj(tau) I)^{-1} (A + tau I)
     and 2 Re(tau) (A^* - tau I)^{-1} Q (A - conj(tau) I)^{-1} of A^*X + XA + Q = 0,
     from one LU; for Re(tau) > 0 both equations have the same solution set.
-    Both stay real for real A, Q and a tau with imaginary part 0.
+    Both stay real for real A, Q and a tau with imaginary part 0.  The inverse
+    R = (A - conj(tau) I)^{-1} is formed once from the factors (getri), and
+    c(A) = R (A + tau I) and R^* Q R are matrix products.
     """
     tau = _shift(tau)
     try:
         lu = lu_factor(_shifted(a, tau))
     except SingularMatrix as exc:
         raise SingularShift(f"conj(tau)={np.conj(tau)} is an eigenvalue of A") from exc
-    c_of_a = lu.solve(a + tau * np.eye(a.shape[0]))
-    half = lu.solve(q, trans=2)  # (A^* - tau I)^{-1} Q
-    q_tilde = 2 * tau.real * lu.solve(half.conj().T, trans=2).conj().T  # half (A - conj(tau) I)^{-1}
+    r = lu.inverse()
+    c_of_a = r @ (a + tau * np.eye(a.shape[0]))
+    q_tilde = (2 * tau.real) * (r.conj().T @ q @ r)
     return c_of_a, symmetrize(q_tilde)
 
 

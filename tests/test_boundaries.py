@@ -18,6 +18,9 @@ CASES = {
     "as_matrix-3d": (lambda: as_matrix(np.zeros((2, 2, 2))), ValueError, "ndim 3"),
     "coefficient-shape": (lambda: DareProblem(A=I2, G=np.eye(3), Q=I2), ValueError, "G must match the shape of A"),
     "psd_check-negative-tol": (lambda: psd_check(I2, tol=-1), ValueError, "tol must be nonnegative"),
+    "psd_check-nan-tol": (lambda: psd_check(I2, tol=np.nan), ValueError, "tol must be nonnegative and finite"),
+    "psd_check-inf-tol": (lambda: psd_check(-I2, tol=np.inf), ValueError, "tol must be nonnegative and finite"),
+    "psd_check-non-square": (lambda: psd_check(np.ones((2, 3))), ValueError, "Hermitian matrices must be square"),
     "spectral-radius-non-square": (
         lambda: spectral_radius_estimate(np.ones((2, 3))),
         ValueError,

@@ -5,7 +5,10 @@ At n = 64 the CARE sign iteration is checked against scipy's Schur-based
 against the maximal-solution certificate.  At n in {64, 128} DARE SDA is
 checked against `solve_discrete_are` (full-rank and rank-n/4 G), squared
 Smith against `solve_discrete_lyapunov` and ADI at the default shift against
-`solve_continuous_lyapunov`.
+`solve_continuous_lyapunov`.  CARE-SDA is checked against
+`solve_continuous_are` at n in {64, 128}.  Badly scaled data: SDA and
+CARE-SDA on (A, G s, Q / s) for s in {1e-4, 1e4}, and the Cayley reduction
+plus squared Smith on (1e3 A, Q), at the CLI's default shift.
 """
 
 import numpy as np
@@ -13,10 +16,14 @@ import pytest
 import scipy.linalg as sla
 
 from riccati import (
+    CareProblem,
     DareProblem,
+    LyapunovProblem,
     ShiftSequence,
     SignOptions,
     adi_solve,
+    care_sda_solve,
+    cayley_to_stein,
     cyclic_reduction_solve,
     nme_fixed_point_solve,
     sda_solve,
@@ -30,6 +37,8 @@ from riccati.io import to_problem
 N = 64
 SIZES = (64, 128)
 SEEDS = (0, 1)
+SCALES = (1e-4, 1e4)
+SCALED_SEEDS = (0, 1, 2)
 # the measured errors were 1.9e-14 to 3.2e-11 on these instances
 BOUND = 1e-8
 
@@ -114,5 +123,50 @@ def test_adi_matches_scipy(n, seed):
     x_ref = sla.solve_continuous_lyapunov(p.A.conj().T, -p.Q)
     # the shift `riccati solve --method adi` uses when none is given
     report = adi_solve(p, ShiftSequence((default_cayley_tau(p.norms["A"], n),)))
+    assert report.converged
+    assert rel(report.X, x_ref) <= BOUND
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("n", SIZES)
+def test_care_sda_matches_scipy(n, seed):
+    p = instance("care", seed, n)
+    x_ref = sla.solve_continuous_are(p.A, gram_factor(p.G), p.Q, np.eye(n))
+    sol = care_sda_solve(p)
+    assert sol.report.converged
+    assert rel(sol.X_plus, x_ref) <= BOUND
+
+
+@pytest.mark.parametrize("seed", SCALED_SEEDS)
+@pytest.mark.parametrize("s", SCALES)
+def test_sda_scaled_matches_scipy(s, seed):
+    # X solves (A, G, Q) exactly when X / s solves (A, G s, Q / s)
+    p = instance("dare", seed)
+    p = DareProblem(A=p.A, G=p.G * s, Q=p.Q / s)
+    x_ref = sla.solve_discrete_are(p.A, gram_factor(p.G), p.Q, np.eye(N))
+    sol = sda_solve(p)
+    assert sol.report.converged
+    assert rel(sol.X_plus, x_ref) <= BOUND
+
+
+@pytest.mark.parametrize("seed", SCALED_SEEDS)
+@pytest.mark.parametrize("s", SCALES)
+def test_care_sda_scaled_matches_scipy(s, seed):
+    p = instance("care", seed)
+    p = CareProblem(A=p.A, G=p.G * s, Q=p.Q / s)
+    x_ref = sla.solve_continuous_are(p.A, gram_factor(p.G), p.Q, np.eye(N))
+    sol = care_sda_solve(p)
+    assert sol.report.converged
+    assert rel(sol.X_plus, x_ref) <= BOUND
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_cayley_smith_large_a_matches_scipy(seed):
+    p = instance("lyapunov", seed)
+    p = LyapunovProblem(A=p.A * 1e3, Q=p.Q)
+    x_ref = sla.solve_continuous_lyapunov(p.A.conj().T, -p.Q)
+    # `riccati solve --method cayley-smith` with its default shift
+    stein = cayley_to_stein(p, default_cayley_tau(p.norms["A"], N))
+    report = squared_smith_solve(stein)
     assert report.converged
     assert rel(report.X, x_ref) <= BOUND

@@ -157,6 +157,93 @@ class TestPsdCheck:
         assert psd_check(m, 0.0) and not psd_check(-m, 1e-10)
 
 
+def _hermitian(rng, spectrum, field):
+    """A random Hermitian matrix, real or complex, with the given spectrum."""
+    n = len(spectrum)
+    z = rng.standard_normal((n, n))
+    if field == "complex":
+        z = z + 1j * rng.standard_normal((n, n))
+    u, _ = np.linalg.qr(z)
+    return symmetrize((u * np.asarray(spectrum)) @ u.conj().T)
+
+
+def _eigvalsh_predicate(m, tol) -> bool:
+    """The definition `psd_check` implements, read off the spectrum."""
+    return bool(np.linalg.eigvalsh(m)[0] >= -tol * max(1.0, float(np.linalg.norm(m))))
+
+
+def _threshold_tol(m, margin) -> float:
+    """The tol that puts psd_check's threshold at -margin."""
+    return margin / max(1.0, float(np.linalg.norm(m)))
+
+
+INERTIA_SIZES = (1, 2, 3, 17, 64, 128)
+FIELDS = ("real", "complex")
+
+
+class TestPsdCheckMatchesEigenvalues:
+    """`psd_check` counts the negative pivots of an LDL^* factorization; on
+    each matrix here it gives the answer of the eigenvalue predicate
+    lambda_min(M) >= -tol max(1, ||M||_F).  lambda_min is placed at
+    -delta (1 -+ 1e-3) with the threshold at -delta, a margin of 1e-3 delta,
+    far above the rounding of either method (about 1e-14 ||M||_F here)."""
+
+    @pytest.mark.parametrize("side", [-1, 1], ids=["inside", "outside"])
+    @pytest.mark.parametrize("delta", [1e-8, 1e-3])
+    @pytest.mark.parametrize("field", FIELDS)
+    @pytest.mark.parametrize("n", INERTIA_SIZES)
+    def test_lambda_min_at_threshold(self, n, field, delta, side):
+        rng = np.random.default_rng(n)
+        # other eigenvalues in [-delta/2, 10]: some negative, all above lambda_min
+        spectrum = rng.uniform(-delta / 2, 10.0, n)
+        spectrum[rng.integers(n)] = -delta * (1 + side * 1e-3)
+        m = _hermitian(rng, spectrum, field)
+        tol = _threshold_tol(m, delta)
+        assert _eigvalsh_predicate(m, tol) == (side < 0)
+        assert psd_check(m, tol) == (side < 0)
+
+    @pytest.mark.parametrize("side", [-1, 1], ids=["inside", "outside"])
+    @pytest.mark.parametrize("field", FIELDS)
+    @pytest.mark.parametrize("n", INERTIA_SIZES)
+    def test_singular(self, n, field, side):
+        # B B^* of rank about n/2, then one null direction pushed to -delta (1 -+ 1e-3)
+        rng = np.random.default_rng(100 + n)
+        rank = max(1, n // 2)
+        b = rng.standard_normal((n, rank))
+        if field == "complex":
+            b = b + 1j * rng.standard_normal((n, rank))
+        gram = symmetrize(b @ b.conj().T)
+        assert _eigvalsh_predicate(gram, 1e-10) and psd_check(gram, 1e-10)
+        assert not psd_check(-gram, 1e-10)
+        if rank == n:
+            return
+        spectrum = np.zeros(n)
+        spectrum[: rank] = rng.uniform(0.5, 10.0, rank)
+        spectrum[-1] = -1e-6 * (1 + side * 1e-3)
+        m = _hermitian(rng, spectrum, field)
+        tol = _threshold_tol(m, 1e-6)
+        assert _eigvalsh_predicate(m, tol) == (side < 0)
+        assert psd_check(m, tol) == (side < 0)
+
+    @pytest.mark.parametrize("field", FIELDS)
+    @pytest.mark.parametrize("n", INERTIA_SIZES[1:])
+    def test_zero_diagonal(self, n, field):
+        # a zero diagonal makes Bunch-Kaufman take 2 x 2 pivots
+        rng = np.random.default_rng(200 + n)
+        z = rng.standard_normal((n, n))
+        if field == "complex":
+            z = z + 1j * rng.standard_normal((n, n))
+        m = z + z.conj().T
+        np.fill_diagonal(m, 0.0)
+        trf = scipy.linalg.lapack.get_lapack_funcs("hetrf" if field == "complex" else "sytrf", (m,))
+        assert np.any(trf(m, lower=1)[1] < 0)
+        assert not _eigvalsh_predicate(m, 0.0) and not psd_check(m, 0.0)
+        margin = -float(np.linalg.eigvalsh(m)[0])
+        for side in (-1, 1):
+            tol = _threshold_tol(m, margin * (1 - side * 1e-3))
+            assert _eigvalsh_predicate(m, tol) == psd_check(m, tol) == (side < 0)
+
+
 class TestSpectralRadiusEstimate:
     def test_normal_matrix(self):
         est = spectral_radius_estimate(np.diag([0.5, -0.25]), 10)

@@ -34,6 +34,7 @@ from riccati import cli, dare, linalg, lyapunov, stein
 from riccati.dare import dare_step, sda_step
 from riccati.generators import GeneratorSpec, gen_problem
 from riccati.io import to_problem
+from riccati.lyapunov import cayley_reduce
 from riccati.nme import CrState, cr_step, nme_step
 from riccati.stein import smith_step
 
@@ -118,6 +119,37 @@ class TestOneFactorizationPerStep:
         nme_residual(p.Q, p)
         assert chol_calls == [(6, 6)]
         assert lu_calls == []
+
+
+class TestWideAppliesUseTheInverse:
+    """A step that applies one operator to n or more columns forms the
+    inverse from its LU factors (getri) and multiplies: one factorization,
+    one inverse and no triangular solve (getrs)."""
+
+    @pytest.fixture
+    def kernels(self, monkeypatch, lu_calls):
+        inverse = counting(monkeypatch, linalg.LU, "inverse")
+        solve = counting(monkeypatch, linalg.LU, "solve")
+        return lambda: (len(lu_calls), len(inverse), len(solve))
+
+    def test_sda_step(self, kernels):
+        p = instance("dare")
+        sda_step(DoublingState(Ak=p.A, Gk=p.G, Qk=p.Q, k=0))
+        assert kernels() == (1, 1, 0)
+
+    def test_cayley_reduce(self, kernels):
+        p = instance("lyapunov")
+        cayley_reduce(p.A, p.Q, 1.5)
+        assert kernels() == (1, 1, 0)
+
+
+@pytest.mark.parametrize("kind", ["stein", "lyapunov", "dare", "care", "nme"])
+def test_validation_computes_no_eigenvalues(monkeypatch, kind):
+    # definiteness is decided by the inertia of an LDL^* factorization
+    pf = gen_problem(GeneratorSpec(kind=kind, n=16, seed=0))
+    calls = counting(monkeypatch, np.linalg, "eigvalsh")
+    to_problem(pf)
+    assert calls == []
 
 
 class TestNewtonBuildsNoProblems:
