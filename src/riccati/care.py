@@ -21,7 +21,7 @@ from .errors import (
 )
 from .linalg import (
     Coefficients,
-    _scipy_linalg,
+    _lapack,
     as_matrix,
     lu_factor,
     symmetrize,
@@ -226,17 +226,16 @@ def sign_extract(h_inf) -> np.ndarray:
     null space of dimension n and raises RankMismatch; a triangular factor R
     with an estimated condition number above 1e8 (R is ill conditioned
     exactly when the top block of a null-space basis is) raises SingularU1.
+    W that is not 2n x 2n with n >= 1 raises ValueError.
     """
     h_inf = as_matrix(h_inf)
     size = h_inf.shape[0]
-    if size % 2 != 0:
+    if h_inf.shape[1] != size or size % 2 != 0 or size == 0:
         raise ValueError("sign iterate must be 2n x 2n")
     n = size // 2
     shifted = h_inf + np.eye(size)
     left, right = shifted[:, n:], -shifted[:, :n]
-    geqrf, ormqr, trcon, trtrs = _scipy_linalg().lapack.get_lapack_funcs(
-        ("geqrf", "ormqr", "trcon", "trtrs"), (left,)
-    )
+    geqrf, ormqr, trcon, trtrs = (_lapack(name, left) for name in ("geqrf", "ormqr", "trcon", "trtrs"))
     # Householder QR, and Q^* applied to the right-hand side by its
     # reflectors; lwork leaves room for LAPACK's blocked kernels
     lwork = 64 * n

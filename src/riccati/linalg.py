@@ -15,11 +15,14 @@ whose inertia decides definiteness (`psd_check`), in place of eigenvalues.
 Each call site picks its kernel; `LU.solve` has no switch.
 
 This is the one module of the package that imports scipy, and it does so
-the first time a kernel needs LAPACK or BLAS, through `_scipy_linalg`
-(`care`'s sign extraction and `oracle`'s Schur form get it there too).
-`import scipy.linalg` takes longer than numpy's own import, and a command
-that only generates or reads problems, such as `riccati gen`, runs on numpy
-alone and does not pay it.
+the first time a kernel needs LAPACK or BLAS.  The kernels (and `care`'s
+sign extraction) take their routines from `_lapack` and `_blas`, which load
+scipy's compiled `_flapack` and `_fblas` modules straight from their files
+and never import the `scipy.linalg` package: that import takes longer than
+numpy's own, and most of it is array-API and testing machinery, not LAPACK.
+Only `oracle`'s Schur form, on the `verify` path, imports `scipy.linalg`,
+through `_scipy_linalg`.  A command that only generates or reads problems,
+such as `riccati gen`, runs on numpy alone.
 
 Data is checked where it enters: `as_matrix` scans for non-finite entries,
 and the problem classes, `hermitian_part`, `psd_check` and
@@ -28,7 +31,12 @@ run on every iterate and do not scan; a NaN or inf entry makes ||M||_F
 non-finite, and the factorizations raise SingularMatrix on that.
 """
 
+import importlib
+import importlib.machinery
+import importlib.util
+import sys
 from functools import cache, cached_property
+from pathlib import Path
 
 import numpy as np
 
@@ -54,10 +62,60 @@ __all__ = [
 
 @cache
 def _scipy_linalg():
-    """scipy.linalg, imported on the first call."""
-    import scipy.linalg
+    """scipy.linalg, imported on the first call (by `oracle` only)."""
+    return importlib.import_module("scipy.linalg")
 
-    return scipy.linalg
+
+@cache
+def _extension(name: str):
+    """scipy's compiled module scipy.linalg.`name` (_flapack or _fblas),
+    loaded once from its file in the scipy package, or taken from
+    sys.modules when scipy.linalg already loaded it.
+
+    The module initializes single-phase, so loading it registers it in
+    sys.modules; the entry is removed again, so that a later `import
+    scipy.linalg` builds its own module object from the cached definition,
+    holding the same routine objects.  A missing file raises ImportError.
+    """
+    import scipy
+
+    full_name = f"scipy.linalg.{name}"
+    if full_name in sys.modules:
+        return sys.modules[full_name]
+    directory = Path(scipy.__file__).parent / "linalg"
+    paths = [directory / (name + suffix) for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+    path = next((path for path in paths if path.is_file()), None)
+    if path is None:
+        raise ImportError(f"scipy {scipy.__version__} has no {name} extension in {directory}")
+    module = importlib.util.module_from_spec(importlib.util.spec_from_file_location(full_name, path))
+    sys.modules.pop(full_name, None)
+    return module
+
+
+# routine names that differ by field: LAPACK's complex QR multiply is unmqr,
+# and the real case of the Hermitian LDL^* is the symmetric sytrf
+_ALIASES = {("z", "ormqr"): "unmqr", ("d", "hetrf"): "sytrf"}
+
+
+@cache
+def _routine(module: str, name: str, is_complex: bool):
+    prefix = "z" if is_complex else "d"
+    return getattr(_extension(module), prefix + _ALIASES.get((prefix, name), name))
+
+
+def _lapack(name: str, *arrays):
+    """The double-precision LAPACK routine `name` for the field of the numpy
+    `arrays`: complex (z) if any of them is complex, real (d) otherwise; the
+    same object `scipy.linalg.lapack.get_lapack_funcs` returns for float64
+    and complex128 data.  `ormqr` and `hetrf` name their routine in both
+    fields.  The lookup is cached, as scipy's is: it runs on every kernel
+    call."""
+    return _routine("_flapack", name, "c" in [a.dtype.kind for a in arrays])
+
+
+def _blas(name: str, *arrays):
+    """The BLAS routine `name` for the field of `arrays`, as `_lapack`."""
+    return _routine("_fblas", name, "c" in [a.dtype.kind for a in arrays])
 
 
 def as_matrix(a) -> np.ndarray:
@@ -137,23 +195,25 @@ class LU:
         if b.shape[0] != self.pivots.shape[0]:
             raise SingularMatrix("dimension mismatch between M and B")
         # the routine follows the field of both operands, as scipy.linalg.lu_solve's does
-        getrs = _scipy_linalg().lapack.get_lapack_funcs("getrs", (self._lu, b))
-        x, _ = getrs(self._lu, self._piv, b, trans=trans)
+        x, _ = _lapack("getrs", self._lu, b)(self._lu, self._piv, b, trans=trans)
         return x
 
     def inverse(self) -> np.ndarray:
         """M^{-1} from the same factors (LAPACK getri)."""
-        getri = _scipy_linalg().lapack.get_lapack_funcs("getri", (self._lu,))
         # room for LAPACK's blocked kernel (block size 64); the default
         # workspace runs the slower unblocked one
-        inv, _ = getri(self._lu, self._piv, lwork=64 * self._lu.shape[0])
+        inv, _ = _lapack("getri", self._lu)(self._lu, self._piv, lwork=64 * self._lu.shape[0])
         return inv
 
 
 def _pivot_floor(m) -> float:
     """PIVOT_RTOL * max(1, ||M||_F), the smallest pivot a factorization of M
     may have.  A NaN or inf entry makes ||M||_F non-finite, which raises
-    SingularMatrix here: the norm does the finiteness check, with no scan."""
+    SingularMatrix here: the norm does the finiteness check, with no scan.
+    An empty M has no pivot to check and raises SingularMatrix too, before
+    LAPACK, which rejects a 0 x 0 matrix as an illegal argument."""
+    if m.size == 0:
+        raise SingularMatrix("empty matrix: nothing to factor")
     norm = float(np.linalg.norm(m))
     if not norm < np.inf:
         raise SingularMatrix("non-finite input: the matrix has a NaN or inf entry")
@@ -163,17 +223,16 @@ def _pivot_floor(m) -> float:
 def lu_factor(m) -> LU:
     """Factor M by Gaussian elimination with row pivoting (LAPACK getrf).
 
-    Raises SingularMatrix when M is not square, has a NaN or inf entry, or
-    a pivot falls below 1e-14 * ||M||_F (scaled to max(1, .) so the exact
-    zero matrix is also rejected).
+    Raises SingularMatrix when M is empty or not square, has a NaN or inf
+    entry, or a pivot falls below 1e-14 * ||M||_F (scaled to max(1, .) so
+    the exact zero matrix is also rejected).
     """
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise SingularMatrix("coefficient matrix must be square")
     floor = _pivot_floor(m)
-    getrf = _scipy_linalg().lapack.get_lapack_funcs("getrf", (m,))
     # an exact zero pivot (info > 0) fails the pivot test below
-    factors, piv, _ = getrf(m)
+    factors, piv, _ = _lapack("getrf", m)(m)
     lu = LU(factors, piv)
     if not lu.min_pivot >= floor:
         raise SingularMatrix("pivot below singularity threshold")
@@ -199,25 +258,24 @@ class Cholesky:
         return float(np.min(self.pivots))
 
     def half_solve(self, b) -> np.ndarray:
-        if np.shape(b)[0] != self._r.shape[0]:
+        b = np.asarray(b)
+        if b.shape[0] != self._r.shape[0]:
             raise SingularMatrix("dimension mismatch between M and B")
-        trsm = _scipy_linalg().blas.get_blas_funcs("trsm", (self._r, b))
-        return trsm(1.0, self._r, b, trans_a=2)
+        return _blas("trsm", self._r, b)(1.0, self._r, b, trans_a=2)
 
 
 def cholesky_factor(m) -> Cholesky:
     """Factor Hermitian M as R^* R (LAPACK potrf), reading its upper triangle.
 
-    Raises SingularMatrix when M is not square, has a NaN or inf entry, is
-    not positive definite (potrf fails), or a pivot r_ii^2 falls below the
-    `lu_factor` threshold 1e-14 * max(1, ||M||_F).
+    Raises SingularMatrix when M is empty or not square, has a NaN or inf
+    entry, is not positive definite (potrf fails), or a pivot r_ii^2 falls
+    below the `lu_factor` threshold 1e-14 * max(1, ||M||_F).
     """
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise SingularMatrix("coefficient matrix must be square")
     floor = _pivot_floor(m)
-    potrf = _scipy_linalg().lapack.get_lapack_funcs("potrf", (m,))
-    r, info = potrf(m, lower=0, clean=0)
+    r, info = _lapack("potrf", m)(m, lower=0, clean=0)
     if info != 0:
         raise SingularMatrix("matrix is not positive definite")
     chol = Cholesky(r)
@@ -248,10 +306,9 @@ def _negative_eigenvalues(h) -> int:
     the determinant is 0 and the trace negative; the determinant is formed
     from entries divided by the block's largest modulus, so it cannot overflow.
     """
-    trf = _scipy_linalg().lapack.get_lapack_funcs("hetrf" if np.iscomplexobj(h) else "sytrf", (h,))
     # lwork leaves room for LAPACK's blocked kernel, as in `LU.inverse`;
     # an exactly zero pivot (info > 0) is a zero eigenvalue, not a failure
-    ldu, ipiv, _ = trf(h, lower=1, lwork=64 * h.shape[0])
+    ldu, ipiv, _ = _lapack("hetrf", h)(h, lower=1, lwork=64 * h.shape[0])
     d = ldu.diagonal().real
     # both rows of a 2 x 2 block carry the same negative ipiv, so the rows of
     # the 2 x 2 blocks, in order, pair up as (k, k + 1)
@@ -291,12 +348,13 @@ def psd_check(m, tol: float = 0.0) -> bool:
 class Coefficients:
     """Base of the frozen problem dataclasses: one validation path.
 
-    `__post_init__` makes A a square matrix and each coefficient named in
-    `HERMITIAN` its Hermitian part, checked to be positive semidefinite (at
-    1e-10) and of A's shape; it raises ValueError naming the coefficient
-    that fails.  This is where a problem's field is decided: a coefficient
-    whose imaginary part is exactly 0 is stored as float64, so real data
-    read from a complex128 file is solved in real arithmetic.
+    `__post_init__` makes A a nonempty square matrix and each coefficient
+    named in `HERMITIAN` its Hermitian part, checked to be positive
+    semidefinite (at 1e-10) and of A's shape; it raises ValueError naming
+    the coefficient that fails.  This is where a problem's field is
+    decided: a coefficient whose imaginary part is exactly 0 is stored as
+    float64, so real data read from a complex128 file is solved in real
+    arithmetic.
 
     `norms` maps A and each coefficient in `HERMITIAN` to its Frobenius
     norm (np.float64), computed on first use and then kept: the residual
@@ -322,6 +380,8 @@ class Coefficients:
         a = self._store("A", as_matrix)
         if a.shape[0] != a.shape[1]:
             raise ValueError("A must be square")
+        if a.size == 0:
+            raise ValueError("A must not be empty")
         for name in self.HERMITIAN:
             m = self._store(name, hermitian_part)
             if m.shape != a.shape:

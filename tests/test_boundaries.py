@@ -43,6 +43,8 @@ CASES = {
     ),
     "lr-adi-no-step": (lambda: lr_adi_solve(LOW_RANK, ShiftSequence((1.0,)), 0), ValueError, "k must be >= 1"),
     "sign-extract-odd": (lambda: sign_extract(np.eye(3)), ValueError, "2n x 2n"),
+    "sign-extract-non-square": (lambda: sign_extract(np.ones((4, 2))), ValueError, "2n x 2n"),
+    "sign-extract-empty": (lambda: sign_extract(np.zeros((0, 0))), ValueError, "2n x 2n"),
     "subspace-odd": (
         lambda: invariant_subspace_solve(np.eye(3), "left_half_plane"),
         ValueError,

@@ -659,8 +659,9 @@ SCIPY_MODULES = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
 
 
 class TestImportBoundary:
-    """Importing the package and generating a problem run on numpy alone:
-    scipy loads at the first factorization."""
+    """Importing the package and generating a problem run on numpy alone;
+    a solve loads scipy's compiled LAPACK and BLAS modules at the first
+    factorization, but never the scipy.linalg package."""
 
     def test_import_loads_no_scipy(self, tmp_path):
         out = _fresh_interpreter(f"import sys, riccati, riccati.cli; print({SCIPY_MODULES})", tmp_path)
@@ -669,16 +670,38 @@ class TestImportBoundary:
     def test_gen_loads_no_scipy_and_solve_still_converges(self, tmp_path):
         code = (
             "import sys\n"
-            "from riccati import cli\n"
+            "import numpy as np\n"
+            "from riccati import cli, linalg\n"
             "code = cli.main(['gen', '--kind', 'dare', '--n', '8', '--seed', '1', '--output', 'p.json'])\n"
             f"print(code, {SCIPY_MODULES})\n"
             "print(cli.main(['solve', '--input', 'p.json', '--method', 'sda']))\n"
+            "cli.main(['gen', '--kind', 'care', '--n', '8', '--seed', '1', '--output', 'c.json'])\n"
+            "print(cli.main(['solve', '--input', 'c.json', '--method', 'sign']))\n"
             "print('scipy.linalg' in sys.modules)\n"
+            "zgetrf = linalg._lapack('getrf', np.eye(2, dtype=complex))\n"
+            "import scipy.linalg\n"
+            "print(scipy.linalg._flapack.zgetrf is zgetrf, scipy.linalg.lu_factor([[2.0]])[0].tolist())\n"
         )
         lines = _fresh_interpreter(code, tmp_path).splitlines()
         assert lines[0] == "wrote dare instance n=8 seed=1 to p.json"
         assert lines[1] == "0 []"
-        assert lines[-3:] == ["converged: True", "0", "True"]
+        assert lines.count("converged: True") == 2
+        assert lines[-3:] == ["0", "False", "True [[2.0]]"]
+
+    def test_every_solve_leaves_scipy_linalg_unloaded(self, tmp_path):
+        code = (
+            "import sys\n"
+            "from riccati import cli\n"
+            "for kind, methods in cli.SOLVERS.items():\n"
+            "    cli.main(['gen', '--kind', kind, '--n', '6', '--seed', '2', '--output', kind + '.json'])\n"
+            "    for method in methods:\n"
+            "        code = cli.main(['solve', '--input', kind + '.json', '--method', method, '--tol', '1e-10'])\n"
+            "        print('status', kind, method, code, 'scipy.linalg' in sys.modules)\n"
+        )
+        out = _fresh_interpreter(code, tmp_path)
+        rows = [line.split()[1:] for line in out.splitlines() if line.startswith("status ")]
+        assert len(rows) == sum(len(methods) for methods in cli.SOLVERS.values())
+        assert [row for row in rows if row[2:] != ["0", "False"]] == []
 
 
 @pytest.fixture

@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -12,6 +13,9 @@ from riccati.errors import RiccatiError, SingularMatrix
 from riccati.generators import GeneratorSpec, gen_problem
 from riccati.io import to_problem
 from riccati.linalg import (
+    _blas,
+    _extension,
+    _lapack,
     as_matrix,
     cholesky_factor,
     hermitian_part,
@@ -96,11 +100,66 @@ class TestCoefficientsNameTheFailure:
             (DareProblem, {"A": I2, "G": np.ones((2, 3)), "Q": I2}, "G: Hermitian matrices must be square"),
             (DareProblem, {"A": I2, "G": I2, "Q": NAN}, "Q: matrix entries must be finite"),
             (LyapunovProblem, {"A": -I2, "Q": I2, "C": [[np.nan, 0.0]]}, "C: matrix entries must be finite"),
+            (DareProblem, {"A": np.zeros((0, 0)), "G": np.zeros((0, 0)), "Q": np.zeros((0, 0))}, "A must not be empty"),
         ],
     )
     def test_message_starts_with_the_name(self, cls, coefficients, named):
         with pytest.raises(ValueError, match=f"^{named}$"):
             cls(**coefficients)
+
+
+REAL = np.eye(3)
+COMPLEX = np.eye(3, dtype=complex)
+
+
+class TestRoutineLookup:
+    """`_lapack` and `_blas` give the kernels the very routine objects scipy's
+    own lookups return, so no result depends on which path loaded them."""
+
+    @pytest.mark.parametrize(
+        "name, arrays",
+        [
+            ("getrf", (REAL,)),
+            ("getrf", (COMPLEX,)),
+            ("getrs", (REAL, REAL)),
+            ("getrs", (REAL, COMPLEX)),
+            ("getrs", (COMPLEX, REAL)),
+            ("getrs", (COMPLEX, COMPLEX)),
+            ("getri", (REAL,)),
+            ("getri", (COMPLEX,)),
+            ("potrf", (REAL,)),
+            ("potrf", (COMPLEX,)),
+            ("geqrf", (REAL,)),
+            ("geqrf", (COMPLEX,)),
+            ("trcon", (REAL,)),
+            ("trcon", (COMPLEX,)),
+            ("trtrs", (REAL,)),
+            ("trtrs", (COMPLEX,)),
+        ],
+    )
+    def test_lapack_routine_is_scipys(self, name, arrays):
+        assert _lapack(name, *arrays) is scipy.linalg.lapack.get_lapack_funcs(name, arrays)
+
+    @pytest.mark.parametrize(
+        "name, arrays, scipy_name",
+        [
+            ("hetrf", (REAL,), "sytrf"),
+            ("hetrf", (COMPLEX,), "hetrf"),
+            ("ormqr", (REAL,), "ormqr"),
+            ("ormqr", (COMPLEX,), "unmqr"),
+        ],
+    )
+    def test_aliased_routine_is_scipys(self, name, arrays, scipy_name):
+        assert _lapack(name, *arrays) is scipy.linalg.lapack.get_lapack_funcs(scipy_name, arrays)
+
+    @pytest.mark.parametrize("arrays", [(REAL, REAL), (REAL, COMPLEX), (COMPLEX, REAL), (COMPLEX, COMPLEX)])
+    def test_trsm_is_scipys(self, arrays):
+        assert _blas("trsm", *arrays) is scipy.linalg.blas.get_blas_funcs("trsm", arrays)
+
+    @pytest.mark.parametrize("name", ["_flapack", "_fblas"])
+    def test_loader_reuses_an_imported_module(self, name):
+        assert f"scipy.linalg.{name}" in sys.modules
+        assert _extension.__wrapped__(name) is sys.modules[f"scipy.linalg.{name}"]
 
 
 class TestSolveLinear:
@@ -328,6 +387,12 @@ class TestLuFactor:
     def test_singular_raises(self):
         with pytest.raises(SingularMatrix):
             lu_factor(np.diag([1.0, 1e-15]))
+
+    @pytest.mark.parametrize("factor", [lu_factor, cholesky_factor])
+    def test_empty_matrix_raises_before_lapack(self, factor, capfd):
+        with pytest.raises(SingularMatrix, match="empty matrix"):
+            factor(np.zeros((0, 0)))
+        assert capfd.readouterr().err == ""
 
     def test_rectangular_raises(self):
         with pytest.raises(SingularMatrix):

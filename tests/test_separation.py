@@ -74,6 +74,28 @@ def test_only_linalg_imports_scipy():
     assert importers == ["linalg"]
 
 
+def _names_read(tree):
+    """Every name a tree reads, imports or takes as an attribute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+
+
+def test_only_oracle_imports_scipy_linalg():
+    """The solvers and the CLI reach LAPACK through `linalg._lapack` and
+    `_blas`, which load scipy's compiled modules alone; `_scipy_linalg`,
+    which imports the whole scipy.linalg package, serves `oracle` only."""
+    package = Path(riccati.__file__).parent
+    trees = {path.stem: ast.parse(path.read_text(), filename=str(path)) for path in sorted(package.glob("*.py"))}
+    readers = [stem for stem, tree in trees.items() if "_scipy_linalg" in _names_read(tree)]
+    assert readers == ["oracle"]
+    assert [node.name for node in trees["linalg"].body if isinstance(node, ast.FunctionDef)].count("_scipy_linalg") == 1
+
+
 def _collector_calls(tree):
     """The line of every `gc.<function>(...)` call anywhere in the tree."""
     return {
