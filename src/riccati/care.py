@@ -23,6 +23,7 @@ from .linalg import (
     Coefficients,
     _lapack,
     as_matrix,
+    frobenius,
     lu_factor,
     symmetrize,
 )
@@ -92,7 +93,7 @@ def hamiltonian(problem: CareProblem) -> np.ndarray:
 def _care_residual(x, nx: float, problem: CareProblem) -> float:
     """`care_residual` of an X with ||X||_F = nx."""
     a, g, q = problem.A, problem.G, problem.Q
-    raw = float(np.linalg.norm(q + a.conj().T @ x + x @ a - x @ g @ x))
+    raw = frobenius(q + a.conj().T @ x + x @ a - x @ g @ x)
     den = float(problem.norms["Q"]) + 2 * float(problem.norms["A"]) * nx
     return relative(raw, den + float(problem.norms["G"]) * nx**2)
 
@@ -103,7 +104,7 @@ def care_residual(x, problem: CareProblem) -> float:
 
     X is not scanned: a non-finite X gives a non-finite residual."""
     x = np.asarray(x)
-    return _care_residual(x, float(np.linalg.norm(x)), problem)
+    return _care_residual(x, frobenius(x), problem)
 
 
 def care_to_dare(problem: CareProblem, tau: float) -> DareProblem:
@@ -281,7 +282,7 @@ def _kleinman_lyap_solve(closed_loop, rhs) -> np.ndarray:
     report, state = iterate(
         start,
         lambda s: (squared_smith_step(s), 0.0),
-        lambda s, _: float(np.linalg.norm(s.Ak)),
+        lambda s, _: frobenius(s.Ak),
         _INNER_OPTS,
         DEFAULT_DOUBLING_MAX_ITER,
         solution=lambda s: s.Qk,
@@ -289,7 +290,7 @@ def _kleinman_lyap_solve(closed_loop, rhs) -> np.ndarray:
     if not report.converged:
         raise InnerSolveFailed(
             f"closed loop A - G X_k is not Hurwitz: ||c(A_cl)^(2^j)||_F = "
-            f"{np.linalg.norm(state.Ak):.3g} after {report.iterations} doublings"
+            f"{frobenius(state.Ak):.3g} after {report.iterations} doublings"
         )
     return state.Qk
 
@@ -309,7 +310,7 @@ def newton_care_solve(
 
     def step(x):
         x_next = _kleinman_lyap_solve(a - g @ x, symmetrize(q + x @ g @ x))
-        return x_next, float(np.linalg.norm(x_next - x))
+        return x_next, frobenius(x_next - x)
 
     report, x = iterate(
         symmetrize(as_matrix(x0)),

@@ -11,6 +11,7 @@ import numpy as np
 from .linalg import (
     Coefficients,
     as_matrix,
+    frobenius,
     lu_factor,
     solve_linear,
     solve_right,
@@ -83,7 +84,7 @@ def dare_residual(x, problem: DareProblem) -> float:
 
     X is not scanned: a non-finite X raises SingularMatrix (`dare_step`)."""
     x = np.asarray(x)
-    return map_residual(x, float(np.linalg.norm(x)), _dare_map(x, problem))
+    return map_residual(x, frobenius(x), _dare_map(x, problem))
 
 
 def dare_fixed_point_solve(

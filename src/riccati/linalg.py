@@ -9,10 +9,26 @@ the residual scales every iterate reads.  Everything here is pure: no routine
 mutates its arguments.  The kernels call LAPACK directly, without scipy's
 checking wrappers: getrf for LU, getrs for a solve with few right-hand sides
 (`LU.solve`), getri for an inverse that a caller applies to a wide block as
-one matrix product (`LU.inverse`: SDA's [A_k, G_k], the Cayley reductions,
-the sign step), potrf for Cholesky, and sytrf/hetrf, an LDL^* factorization
-whose inertia decides definiteness (`psd_check`), in place of eigenvalues.
+one matrix product (`LU.inverse`: SDA's [A_k, G_k], the Cayley reductions
+and LR-ADI's block maps, the sign step), potrf for Cholesky, and
+sytrf/hetrf, an LDL^* factorization whose inertia decides definiteness
+(`psd_check`), in place of eigenvalues.
 Each call site picks its kernel; `LU.solve` has no switch.
+
+Every norm a solve takes per iterate goes through `frobenius`, one BLAS dot
+product of the entries in memory order: the iterate and update norms of
+`reporting`'s drivers, the residuals and the ||X|| of the public residual
+functions, the ADI, LR-ADI and Newton update and block norms, the ||A_k||
+tests of squared Smith and of Newton's inner doubling, and `_pivot_floor`.
+It gives ||M||_F to rounding, without `np.linalg.norm`'s dispatch on `ord`
+and `axis`, and for complex data it may differ from it in the last bits.  So
+`np.linalg.norm` stays where a norm's bits enter the arithmetic of a result:
+in `spectral_radius_estimate` and `generators`, which fix the bits of every
+generated problem file, and in Newton's Cayley shift max(1, ||A - GX_k||_F /
+sqrt(n)).  `oracle` keeps it too, because it shares no code path with the
+solvers it checks.  Norms taken once per problem, when data is validated
+(`Coefficients.norms` among them), are not on the per-iterate path and keep
+it as well.
 
 This is the one module of the package that imports scipy, and it does so
 the first time a kernel needs LAPACK or BLAS.  The kernels (and `care`'s
@@ -34,6 +50,7 @@ non-finite, and the factorizations raise SingularMatrix on that.
 import importlib
 import importlib.machinery
 import importlib.util
+import math
 import sys
 from functools import cache, cached_property
 from pathlib import Path
@@ -48,6 +65,7 @@ __all__ = [
     "as_matrix",
     "hermitian_part",
     "symmetrize",
+    "frobenius",
     "LU",
     "lu_factor",
     "Cholesky",
@@ -174,6 +192,24 @@ def symmetrize(m) -> np.ndarray:
     return out
 
 
+def frobenius(m) -> float:
+    """||M||_F as the square root of one BLAS dot product of M's entries.
+
+    The entries are read in memory order (ravel order K), so a C- or
+    Fortran-ordered M, such as a LAPACK result, is not copied, and complex
+    entries as their (real, imaginary) pairs, so |z|^2 = re^2 + im^2 never
+    meets the inf - inf of a complex product.  Other input is read as
+    float64.  A NaN entry gives nan, a norm beyond the float range inf, and
+    an empty M 0, as `np.linalg.norm` does.
+    """
+    v = np.asarray(m).ravel(order="K")
+    if v.dtype.kind == "c":
+        v = v.astype(np.complex128, copy=False).view(np.float64)
+    elif v.dtype != np.float64:
+        v = v.astype(np.float64)
+    return math.sqrt(v.dot(v))
+
+
 class LU:
     """Row-pivoted LU factorization of a square matrix M, checked for singularity.
 
@@ -214,7 +250,7 @@ def _pivot_floor(m) -> float:
     LAPACK, which rejects a 0 x 0 matrix as an illegal argument."""
     if m.size == 0:
         raise SingularMatrix("empty matrix: nothing to factor")
-    norm = float(np.linalg.norm(m))
+    norm = frobenius(m)
     if not norm < np.inf:
         raise SingularMatrix("non-finite input: the matrix has a NaN or inf entry")
     return PIVOT_RTOL * max(1.0, norm)

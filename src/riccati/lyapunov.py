@@ -3,11 +3,12 @@
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
 from .errors import SingularMatrix, SingularShift
-from .linalg import LU, Coefficients, as_matrix, lu_factor, symmetrize
+from .linalg import Coefficients, as_matrix, frobenius, lu_factor, symmetrize
 from .reporting import DEFAULT_BASIC_MAX_ITER, SolveOptions, SolveReport, iterate, relative
 from .stein import SteinProblem, smith_step
 
@@ -84,11 +85,18 @@ class LowRankFactor:
         object.__setattr__(self, "Z", z)
 
     def gramian(self) -> np.ndarray:
-        return self.Z @ self.Z.conj().T
+        """X = ZZ^*, exactly Hermitian."""
+        return symmetrize(self.Z @ self.Z.conj().T)
 
 
-def _shifted(a: np.ndarray, tau: complex) -> np.ndarray:
-    return a - np.conj(tau) * np.eye(a.shape[0])
+def _resolvent(a, tau: complex) -> np.ndarray:
+    """R = (A - conj(tau) I)^{-1}, formed from one LU by its inverse (getri);
+    a shift whose conjugate is an eigenvalue of A raises SingularShift."""
+    try:
+        lu = lu_factor(a - np.conj(tau) * np.eye(a.shape[0]))
+    except SingularMatrix as exc:
+        raise SingularShift(f"conj(tau)={np.conj(tau)} is an eigenvalue of A") from exc
+    return lu.inverse()
 
 
 def cayley_reduce(a, q, tau: complex) -> tuple[np.ndarray, np.ndarray]:
@@ -96,15 +104,11 @@ def cayley_reduce(a, q, tau: complex) -> tuple[np.ndarray, np.ndarray]:
     and 2 Re(tau) (A^* - tau I)^{-1} Q (A - conj(tau) I)^{-1} of A^*X + XA + Q = 0,
     from one LU; for Re(tau) > 0 both equations have the same solution set.
     Both stay real for real A, Q and a tau with imaginary part 0.  The inverse
-    R = (A - conj(tau) I)^{-1} is formed once from the factors (getri), and
-    c(A) = R (A + tau I) and R^* Q R are matrix products.
+    R = (A - conj(tau) I)^{-1} is formed once (`_resolvent`), and c(A) =
+    R (A + tau I) and R^* Q R are matrix products.
     """
     tau = _shift(tau)
-    try:
-        lu = lu_factor(_shifted(a, tau))
-    except SingularMatrix as exc:
-        raise SingularShift(f"conj(tau)={np.conj(tau)} is an eigenvalue of A") from exc
-    r = lu.inverse()
+    r = _resolvent(a, tau)
     c_of_a = r @ (a + tau * np.eye(a.shape[0]))
     q_tilde = (2 * tau.real) * (r.conj().T @ q @ r)
     return c_of_a, symmetrize(q_tilde)
@@ -122,7 +126,7 @@ def cayley_to_stein(problem: LyapunovProblem, tau: complex) -> SteinProblem:
 def _lyap_residual(x, nx: float, problem: LyapunovProblem) -> float:
     """`lyap_residual` of an X with ||X||_F = nx."""
     a, q = problem.A, problem.Q
-    raw = float(np.linalg.norm(a.conj().T @ x + x @ a + q))
+    raw = frobenius(a.conj().T @ x + x @ a + q)
     return relative(raw, float(problem.norms["Q"] + 2 * problem.norms["A"] * nx))
 
 
@@ -131,7 +135,7 @@ def lyap_residual(x, problem: LyapunovProblem) -> float:
 
     X is not scanned: a non-finite X gives a non-finite residual."""
     x = np.asarray(x)
-    return _lyap_residual(x, float(np.linalg.norm(x)), problem)
+    return _lyap_residual(x, frobenius(x), problem)
 
 
 def adi_solve(
@@ -150,7 +154,7 @@ def adi_solve(
         if tau not in reductions:
             reductions[tau] = cayley_to_stein(problem, tau)
         x_next = smith_step(x, reductions[tau])
-        return (x_next, k + 1), float(np.linalg.norm(x_next - x))
+        return (x_next, k + 1), frobenius(x_next - x)
 
     report, _ = iterate(
         (np.zeros_like(problem.Q), 0),
@@ -172,41 +176,49 @@ def lr_adi_solve(
     """Low-rank ADI: build Z = [V_1 ... V_k] with ZZ^* equal to the k-step
     ADI iterate for the same shift set.
 
+    With R_j = (A^* - tau_j I)^{-1}, the blocks are V_1 = sqrt(2 Re tau_1)
+    R_1 C^* and V_j = M_j V_{j-1}, where
+
+        M_j = sqrt(Re tau_j / Re tau_{j-1}) R_j (A^* + conj(tau_{j-1}) I);
+
+    with a single shift M_j = c(A)^*, the adjoint of `cayley_reduce`'s
+    Cayley transform, and V_j = (c(A)^*)^{j-1} V_1.  Each distinct shift
+    costs one LU and one inverse (getri), and each distinct (tau_{j-1},
+    tau_j) pair one n x n product forming M_j; a block then costs one
+    product of M_j with the n x p block V_{j-1} (C is p x n).  M_j is kept
+    as that product, so an exactly zero A^* + conj(tau_{j-1}) I gives exactly
+    zero blocks.
+
     Shifts are applied in forward order; since the Cayley factors commute,
     only the end-of-sweep Gramian matches ADI, not the intermediate ones.
-    Appending stops early when ||V_j|| <= tol * ||Z||.
+    Appending stops early when ||V_j|| <= tol * ||Z||.  A shift whose
+    conjugate is an eigenvalue of A raises SingularShift.
     """
     if problem.C is None:
         raise ValueError("lr_adi_solve needs a problem with a low-rank factor C")
     if k < 1:
         raise ValueError("k must be >= 1")
-    a = problem.A
-    c_star = problem.C.conj().T
-    factors: dict[complex, LU] = {}  # LU of A - conj(tau) I per distinct shift
-    # A^* + conj(tau) I per distinct shift
-    adjoints = {tau: a.conj().T + np.conj(tau) * np.eye(problem.n) for tau in shifts.shifts}
+    a_star = problem.A.conj().T
+    eye = np.eye(problem.n)
 
-    def shifted_adjoint_solve(tau, rhs):  # (A^* - tau I)^{-1} rhs
-        if tau not in factors:
-            factors[tau] = lu_factor(_shifted(a, tau))
-        return factors[tau].solve(rhs, trans=2)
+    @cache
+    def adjoint_resolvent(tau):  # (A^* - tau I)^{-1}
+        return _resolvent(problem.A, tau).conj().T
+
+    @cache
+    def block_map(tau_prev, tau):  # M_j
+        scale = math.sqrt(tau.real / tau_prev.real)
+        return scale * (adjoint_resolvent(tau) @ (a_star + np.conj(tau_prev) * eye))
 
     tau0 = shifts.at(0)
-    try:
-        v = math.sqrt(2 * tau0.real) * shifted_adjoint_solve(tau0, c_star)
-        blocks = [v]
-        z_norm_sq = float(np.linalg.norm(v)) ** 2  # ||Z||_F^2 of the blocks kept so far
-        for j in range(1, k):
-            tau_prev = shifts.at(j - 1)
-            tau = shifts.at(j)
-            scale = math.sqrt(tau.real / tau_prev.real)
-            rhs = adjoints[tau_prev] @ v
-            v = scale * shifted_adjoint_solve(tau, rhs)
-            v_norm = float(np.linalg.norm(v))
-            if v_norm <= opts.tol * math.sqrt(z_norm_sq):
-                break
-            blocks.append(v)
-            z_norm_sq += v_norm**2
-    except SingularMatrix as exc:
-        raise SingularShift("an ADI shift coincides with an eigenvalue of A") from exc
+    v = math.sqrt(2 * tau0.real) * (adjoint_resolvent(tau0) @ problem.C.conj().T)
+    blocks = [v]
+    z_norm_sq = frobenius(v) ** 2  # ||Z||_F^2 of the blocks kept so far
+    for j in range(1, k):
+        v = block_map(shifts.at(j - 1), shifts.at(j)) @ v
+        v_norm = frobenius(v)
+        if v_norm <= opts.tol * math.sqrt(z_norm_sq):
+            break
+        blocks.append(v)
+        z_norm_sq += v_norm**2
     return LowRankFactor(Z=np.hstack(blocks), block_width=problem.C.shape[0])

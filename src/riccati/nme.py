@@ -10,6 +10,7 @@ from .linalg import (
     Coefficients,
     as_matrix,
     cholesky_factor,
+    frobenius,
     hermitian_part,
     solve_linear,
     spectral_radius_estimate,
@@ -132,7 +133,7 @@ def nme_residual(x, problem: NmeProblem) -> float:
     SingularMatrix.
     """
     x = np.asarray(x)
-    return map_residual(x, float(np.linalg.norm(x)), _nme_map(x, problem))
+    return map_residual(x, frobenius(x), _nme_map(x, problem))
 
 
 def nme_fixed_point_solve(
@@ -204,6 +205,6 @@ def uqme_residual(y, problem: NmeProblem) -> float:
     """Relative residual of the unilateral equation A + QY + A^*Y^2 = 0."""
     y = as_matrix(y)
     a, q = problem.A, problem.Q
-    raw = float(np.linalg.norm(a + q @ y + a.conj().T @ y @ y))
-    ny = float(np.linalg.norm(y))
+    raw = frobenius(a + q @ y + a.conj().T @ y @ y)
+    ny = frobenius(y)
     return relative(raw, float(problem.norms["A"]) * (1.0 + ny**2) + float(problem.norms["Q"]) * ny)

@@ -18,6 +18,7 @@ from riccati.linalg import (
     _lapack,
     as_matrix,
     cholesky_factor,
+    frobenius,
     hermitian_part,
     lu_factor,
     psd_check,
@@ -160,6 +161,53 @@ class TestRoutineLookup:
     def test_loader_reuses_an_imported_module(self, name):
         assert f"scipy.linalg.{name}" in sys.modules
         assert _extension.__wrapped__(name) is sys.modules[f"scipy.linalg.{name}"]
+
+
+def _frobenius_cases():
+    rng = np.random.default_rng(3)
+    real = rng.standard_normal((9, 7))
+    complex_ = real + 1j * rng.standard_normal((9, 7))
+    return {
+        "real": real,
+        "complex": complex_,
+        "real-fortran": np.asfortranarray(real),
+        "complex-fortran": np.asfortranarray(complex_),
+        "real-strided": real[1::2, ::3],
+        "complex-strided": complex_[::2, 1::2],
+        "complex-transposed-view": complex_.conj().T,
+        "empty": np.zeros((0, 0)),
+        "empty-complex": np.zeros((0, 0), dtype=complex),
+        "integer": np.array([[3, 0], [4, 0]]),
+    }
+
+
+FROBENIUS_CASES = _frobenius_cases()
+
+
+class TestFrobenius:
+    """The per-iterate norm kernel agrees with np.linalg.norm."""
+
+    @pytest.mark.parametrize("name", list(FROBENIUS_CASES))
+    def test_matches_numpy(self, name):
+        m = FROBENIUS_CASES[name]
+        expected = np.linalg.norm(m)
+        value = frobenius(m)
+        assert isinstance(value, float)
+        assert abs(value - expected) <= 1e-15 * expected
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_nan_gives_nan(self, dtype):
+        m = np.eye(3, dtype=dtype)
+        m[1, 2] = np.nan
+        assert math.isnan(frobenius(m))
+        assert math.isnan(np.linalg.norm(m))
+
+    @pytest.mark.parametrize("entry", [1e200, -1e200, 1e200 + 1e200j, 1e200j], ids=["pos", "neg", "both", "imag"])
+    def test_overflow_gives_inf(self, entry):
+        m = np.full((3, 3), entry)
+        with np.errstate(over="ignore"):
+            assert frobenius(m) == np.inf
+            assert np.linalg.norm(m) == np.inf
 
 
 class TestSolveLinear:

@@ -10,7 +10,10 @@ from riccati import (
     lr_adi_solve,
     lyap_residual,
 )
+from riccati import cli
 from riccati.errors import SingularShift
+from riccati.generators import GeneratorSpec, gen_problem
+from riccati.io import to_problem
 from riccati.linalg import psd_check
 from riccati.oracle import kron_lyap_solve
 from riccati.stein import smith_step
@@ -166,6 +169,15 @@ class TestLrAdiSolve:
             residuals.append(lyap_residual(z.gramian(), p))
         for nxt, prev in zip(residuals[1:], residuals[:-1]):
             assert nxt <= 0.9 * prev + 1e-15
+
+    @pytest.mark.parametrize("n", [1, 6, 32])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_gramian_is_exactly_hermitian(self, n, seed):
+        # as every other Lyapunov route's X is; the product ZZ^* alone can
+        # differ from its adjoint in the last bits
+        p = to_problem(gen_problem(GeneratorSpec(kind="lyapunov", n=n, seed=seed)))
+        report, _ = cli.SOLVERS["lyapunov"]["lr-adi"](p, SolveOptions(tol=1e-12), None)
+        assert np.array_equal(report.X, report.X.conj().T)
 
     def test_gramian_monotone_in_columns(self):
         rng = np.random.default_rng(6)

@@ -1,7 +1,8 @@
 """Each step does its work once: one factorization per matrix, one
 evaluation of the fixed-point map per iterate, one Cayley reduction per
-ADI shift, one norm per problem coefficient and per iterate, and no
-finiteness scan of an iterate the solver built itself."""
+ADI shift, one inverse per LR-ADI shift, one norm per problem coefficient
+and per iterate, and no finiteness scan of an iterate the solver built
+itself."""
 
 import sys
 from collections import Counter
@@ -21,6 +22,7 @@ from riccati import (
     cyclic_reduction_solve,
     dare_fixed_point_solve,
     dare_residual,
+    lr_adi_solve,
     newton_care_solve,
     nme_fixed_point_solve,
     nme_residual,
@@ -56,14 +58,14 @@ def counting(monkeypatch, module, name):
     return calls
 
 
-def counting_everywhere(monkeypatch, name):
-    """Record the shape of the first argument of each call of linalg.<name>,
-    through every riccati module that binds it."""
+def counting_everywhere(monkeypatch, name, record=np.shape):
+    """Record record(first argument) of each call of linalg.<name>, by
+    default its shape, through every riccati module that binds it."""
     calls = []
     original = getattr(linalg, name)
 
     def wrapper(m, *args):
-        calls.append(np.shape(m))
+        calls.append(record(m))
         return original(m, *args)
 
     for mod_name, module in list(sys.modules.items()):
@@ -142,6 +144,25 @@ class TestWideAppliesUseTheInverse:
         cayley_reduce(p.A, p.Q, 1.5)
         assert kernels() == (1, 1, 0)
 
+    @pytest.mark.parametrize("shifts", [(1.5,), (1.5, 3.0)])
+    def test_lr_adi(self, kernels, shifts):
+        # one LU and one inverse per distinct shift; every block, the first
+        # one included, is a matrix product
+        p = instance("lyapunov")
+        factor = lr_adi_solve(p, ShiftSequence(shifts), 50, SolveOptions(tol=1e-12))
+        assert factor.Z.shape[1] // factor.block_width > 2 * len(shifts)
+        assert kernels() == (len(shifts), len(shifts), 0)
+
+    def test_lr_adi_block_is_the_cayley_transform(self):
+        # with one shift, V_j = c(A)^* V_{j-1}, c(A) as `cayley_reduce` forms it
+        p = instance("lyapunov")
+        factor = lr_adi_solve(p, ShiftSequence((1.5,)), 2, SolveOptions(tol=1e-300))
+        width = factor.block_width
+        v0, v1 = factor.Z[:, :width], factor.Z[:, width : 2 * width]
+        c_of_a, _ = cayley_reduce(p.A, p.Q, 1.5)
+        expected = c_of_a.conj().T @ v0
+        assert np.linalg.norm(v1 - expected) <= 1e-14 * np.linalg.norm(expected)
+
 
 @pytest.mark.parametrize("kind", ["stein", "lyapunov", "dare", "care", "nme"])
 def test_validation_computes_no_eigenvalues(monkeypatch, kind):
@@ -193,7 +214,8 @@ class TestCoefficientNormsOncePerProblem:
     )
     def test_two_solves(self, monkeypatch, kind, solve):
         # every residual scale reads the norms of the unchanged coefficients,
-        # which the problem computes once, not once per iterate
+        # which the problem computes once, not once per iterate; a norm is
+        # np.linalg.norm or the per-iterate kernel linalg.frobenius
         p = instance(kind, n=16, seed=0)
         stored = [getattr(p, name) for name in ("A", "G", "Q") if hasattr(p, name)]
         counts = [0] * len(stored)
@@ -205,8 +227,12 @@ class TestCoefficientNormsOncePerProblem:
             return norm(x, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "norm", counting_norm)
+        kernel_calls = counting_everywhere(monkeypatch, "frobenius", record=lambda x: x)
         reports = [solve(p), solve(p)]
         assert all(r.converged and r.iterations > 1 for r in reports)
+        assert kernel_calls
+        for i, m in enumerate(stored):
+            counts[i] += sum(x is m for x in kernel_calls)
         assert max(counts) <= 1
 
 
@@ -243,7 +269,9 @@ class TestNoScanPerIterate:
 
 class TestOneNormPerIterate:
     """`reporting.iterate` norms each iterate once, and the residual scale, the
-    overflow guard and a doubling iteration's floor all read that norm.
+    overflow guard and a doubling iteration's floor all read that norm.  A
+    norm is np.linalg.norm or the per-iterate kernel linalg.frobenius,
+    through every riccati module that binds it.
 
     Sign norms each H_k twice: in `reporting.iterate` and in `lu_factor`'s
     pivot floor.  Left out: cyclic reduction and the NME fixed point,
@@ -264,9 +292,11 @@ class TestOneNormPerIterate:
             return norm(x, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "norm", holding_norm)
+        kernel_calls = counting_everywhere(monkeypatch, "frobenius", record=lambda x: x)
         report = run()
         assert report.converged and report.iterations > 2
-        return max(Counter(id(x) for x in normed).values())
+        assert kernel_calls
+        return max(Counter(id(x) for x in normed + kernel_calls).values())
 
     @pytest.mark.parametrize(
         "kind, solve",
