@@ -21,9 +21,9 @@ from .errors import (
 )
 from .linalg import (
     Coefficients,
+    _frobenius,
     _lapack,
     as_matrix,
-    frobenius,
     lu_factor,
     symmetrize,
 )
@@ -93,7 +93,7 @@ def hamiltonian(problem: CareProblem) -> np.ndarray:
 def _care_residual(x, nx: float, problem: CareProblem) -> float:
     """`care_residual` of an X with ||X||_F = nx."""
     a, g, q = problem.A, problem.G, problem.Q
-    raw = frobenius(q + a.conj().T @ x + x @ a - x @ g @ x)
+    raw = _frobenius(q + a.conj().T @ x + x @ a - x @ g @ x)
     den = float(problem.norms["Q"]) + 2 * float(problem.norms["A"]) * nx
     return relative(raw, den + float(problem.norms["G"]) * nx**2)
 
@@ -104,7 +104,7 @@ def care_residual(x, problem: CareProblem) -> float:
 
     X is not scanned: a non-finite X gives a non-finite residual."""
     x = np.asarray(x)
-    return _care_residual(x, frobenius(x), problem)
+    return _care_residual(x, _frobenius(x), problem)
 
 
 def care_to_dare(problem: CareProblem, tau: float) -> DareProblem:
@@ -243,8 +243,8 @@ def sign_extract(h_inf) -> np.ndarray:
     qr, tau, _, _ = geqrf(left, lwork=lwork)
     c, _, _ = ormqr("L", "C" if np.iscomplexobj(qr) else "T", qr, tau, right, lwork=lwork)
     # the least-squares residual is the part of Q^* right below R
-    defect = float(np.linalg.norm(c[n:]))
-    if defect > 1e-8 * max(float(np.linalg.norm(shifted)), 1.0):
+    defect = _frobenius(c[n:])
+    if defect > 1e-8 * max(_frobenius(shifted), 1.0):
         raise RankMismatch(
             f"null space of H_inf + I has dimension below {n}: least-squares defect {defect:.3g}"
         )
@@ -274,7 +274,7 @@ def _kleinman_lyap_solve(closed_loop, rhs) -> np.ndarray:
     built from a validated problem, so they are used unchecked.
     """
     try:
-        tau = default_cayley_tau(np.linalg.norm(closed_loop), closed_loop.shape[0])
+        tau = default_cayley_tau(_frobenius(closed_loop), closed_loop.shape[0])
         start = SmithState(*cayley_reduce(closed_loop, rhs, tau))
     except SingularShift as exc:
         raise InnerSolveFailed("closed loop A - G X_k has an eigenvalue at the Cayley shift") from exc
@@ -282,7 +282,7 @@ def _kleinman_lyap_solve(closed_loop, rhs) -> np.ndarray:
     report, state = iterate(
         start,
         lambda s: (squared_smith_step(s), 0.0),
-        lambda s, _: frobenius(s.Ak),
+        lambda s, _: _frobenius(s.Ak),
         _INNER_OPTS,
         DEFAULT_DOUBLING_MAX_ITER,
         solution=lambda s: s.Qk,
@@ -290,7 +290,7 @@ def _kleinman_lyap_solve(closed_loop, rhs) -> np.ndarray:
     if not report.converged:
         raise InnerSolveFailed(
             f"closed loop A - G X_k is not Hurwitz: ||c(A_cl)^(2^j)||_F = "
-            f"{frobenius(state.Ak):.3g} after {report.iterations} doublings"
+            f"{_frobenius(state.Ak):.3g} after {report.iterations} doublings"
         )
     return state.Qk
 
@@ -310,7 +310,7 @@ def newton_care_solve(
 
     def step(x):
         x_next = _kleinman_lyap_solve(a - g @ x, symmetrize(q + x @ g @ x))
-        return x_next, frobenius(x_next - x)
+        return x_next, _frobenius(x_next - x)
 
     report, x = iterate(
         symmetrize(as_matrix(x0)),

@@ -10,8 +10,8 @@ import numpy as np
 
 from .linalg import (
     Coefficients,
+    _frobenius,
     as_matrix,
-    frobenius,
     lu_factor,
     solve_linear,
     solve_right,
@@ -84,7 +84,7 @@ def dare_residual(x, problem: DareProblem) -> float:
 
     X is not scanned: a non-finite X raises SingularMatrix (`dare_step`)."""
     x = np.asarray(x)
-    return map_residual(x, frobenius(x), _dare_map(x, problem))
+    return map_residual(x, _frobenius(x), _dare_map(x, problem))
 
 
 def dare_fixed_point_solve(
@@ -160,4 +160,4 @@ def wiener_hopf_check(sol: DareSolution, problem: DareProblem) -> float:
     w = np.block([[-y, eye], [eye, x]])
     d = np.block([[d1, np.zeros((n, n))], [np.zeros((n, n)), d2]])
     reconstructed = solve_right(w @ d, w)
-    return float(np.linalg.norm(s - reconstructed) / np.linalg.norm(s))
+    return _frobenius(s - reconstructed) / _frobenius(s)

@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import InvalidSpec
 from .io import KINDS, ProblemFile
-from .linalg import spectral_radius_estimate
+from .linalg import _frobenius, spectral_radius_estimate
 
 __all__ = ["GeneratorSpec", "gen_problem"]
 
@@ -111,7 +111,7 @@ def _care(rng, spec: GeneratorSpec) -> dict:
     n = spec.n
     r = _rand_matrix(rng, n, n)
     # shifting by the norm forces every eigenvalue into the left half-plane
-    a = r - (np.linalg.norm(r) + 0.5) * np.eye(n)
+    a = r - (_frobenius(r) + 0.5) * np.eye(n)
     b = _rand_matrix(rng, n, n)
     c = _rand_matrix(rng, n, n)
     return {"A": a, "G": b @ b.conj().T, "Q": c.conj().T @ c}
@@ -124,7 +124,7 @@ def _nme(rng, spec: GeneratorSpec) -> dict:
         return {"A": np.eye(n, dtype=np.complex128), "Q": 2.0 * np.eye(n, dtype=np.complex128)}
     a = _rand_matrix(rng, n, n)
     c = _rand_matrix(rng, spec.p, n)
-    q = c.conj().T @ c + (2 * np.linalg.norm(a) + 1.0) * np.eye(n)
+    q = c.conj().T @ c + (2 * _frobenius(a) + 1.0) * np.eye(n)
     return {"A": a, "Q": q}
 
 

@@ -15,20 +15,10 @@ sytrf/hetrf, an LDL^* factorization whose inertia decides definiteness
 (`psd_check`), in place of eigenvalues.
 Each call site picks its kernel; `LU.solve` has no switch.
 
-Every norm a solve takes per iterate goes through `frobenius`, one BLAS dot
-product of the entries in memory order: the iterate and update norms of
-`reporting`'s drivers, the residuals and the ||X|| of the public residual
-functions, the ADI, LR-ADI and Newton update and block norms, the ||A_k||
-tests of squared Smith and of Newton's inner doubling, and `_pivot_floor`.
-It gives ||M||_F to rounding, without `np.linalg.norm`'s dispatch on `ord`
-and `axis`, and for complex data it may differ from it in the last bits.  So
-`np.linalg.norm` stays where a norm's bits enter the arithmetic of a result:
-in `spectral_radius_estimate` and `generators`, which fix the bits of every
-generated problem file, and in Newton's Cayley shift max(1, ||A - GX_k||_F /
-sqrt(n)).  `oracle` keeps it too, because it shares no code path with the
-solvers it checks.  Norms taken once per problem, when data is validated
-(`Coefficients.norms` among them), are not on the per-iterate path and keep
-it as well.
+Every Frobenius norm the package takes, per iterate or once per problem,
+is `_frobenius`: np.linalg.norm's arithmetic, bit for bit, without its
+dispatch on `ord` and `axis`.  `oracle` alone keeps np.linalg.norm, because
+it shares no code path with the solvers it checks.
 
 This is the one module of the package that imports scipy, and it does so
 the first time a kernel needs LAPACK or BLAS.  The kernels (and `care`'s
@@ -65,7 +55,6 @@ __all__ = [
     "as_matrix",
     "hermitian_part",
     "symmetrize",
-    "frobenius",
     "LU",
     "lu_factor",
     "Cholesky",
@@ -167,8 +156,8 @@ def hermitian_part(m) -> np.ndarray:
     m = as_matrix(m)
     if m.shape[0] != m.shape[1]:
         raise ValueError("Hermitian matrices must be square")
-    scale = max(1.0, float(np.linalg.norm(m)))
-    if np.linalg.norm(m - m.conj().T) > 1e-12 * scale:
+    scale = max(1.0, _frobenius(m))
+    if _frobenius(m - m.conj().T) > 1e-12 * scale:
         raise ValueError("matrix is not Hermitian within tolerance")
     return (m + m.conj().T) / 2
 
@@ -192,21 +181,20 @@ def symmetrize(m) -> np.ndarray:
     return out
 
 
-def frobenius(m) -> float:
-    """||M||_F as the square root of one BLAS dot product of M's entries.
-
-    The entries are read in memory order (ravel order K), so a C- or
-    Fortran-ordered M, such as a LAPACK result, is not copied, and complex
-    entries as their (real, imaginary) pairs, so |z|^2 = re^2 + im^2 never
-    meets the inf - inf of a complex product.  Other input is read as
-    float64.  A NaN entry gives nan, a norm beyond the float range inf, and
-    an empty M 0, as `np.linalg.norm` does.
+def _frobenius(m) -> float:
+    """||M||_F, computed as np.linalg.norm(m) computes it: the entries in
+    memory order (ravel order K, so a Fortran-ordered M such as a LAPACK
+    result is not copied), the square root of one BLAS dot product, and for
+    complex data the sum of the dot products of the real and imaginary
+    parts.  The result has np.linalg.norm's bits, as a Python float.
     """
-    v = np.asarray(m).ravel(order="K")
-    if v.dtype.kind == "c":
-        v = v.astype(np.complex128, copy=False).view(np.float64)
-    elif v.dtype != np.float64:
+    v = np.asarray(m)
+    if v.dtype.kind not in "fc":
         v = v.astype(np.float64)
+    v = v.ravel(order="K")
+    if v.dtype.kind == "c":
+        re, im = v.real, v.imag
+        return math.sqrt(re.dot(re) + im.dot(im))
     return math.sqrt(v.dot(v))
 
 
@@ -250,7 +238,7 @@ def _pivot_floor(m) -> float:
     LAPACK, which rejects a 0 x 0 matrix as an illegal argument."""
     if m.size == 0:
         raise SingularMatrix("empty matrix: nothing to factor")
-    norm = frobenius(m)
+    norm = _frobenius(m)
     if not norm < np.inf:
         raise SingularMatrix("non-finite input: the matrix has a NaN or inf entry")
     return PIVOT_RTOL * max(1.0, norm)
@@ -377,7 +365,7 @@ def psd_check(m, tol: float = 0.0) -> bool:
     if m.size == 0:
         return True
     m = symmetrize(m)
-    m[np.diag_indices_from(m)] += tol * max(1.0, float(np.linalg.norm(m)))
+    m[np.diag_indices_from(m)] += tol * max(1.0, _frobenius(m))
     return _negative_eigenvalues(m) == 0
 
 
@@ -393,9 +381,10 @@ class Coefficients:
     arithmetic.
 
     `norms` maps A and each coefficient in `HERMITIAN` to its Frobenius
-    norm (np.float64), computed on first use and then kept: the residual
-    scales of every equation read it at each iterate, so a solve pays each
-    coefficient norm once per problem, not once per iterate.
+    norm, computed on first use and then kept: the residual scales of every
+    equation read it at each iterate, so a solve pays each coefficient norm
+    once per problem, not once per iterate.  The norms are np.float64, whose
+    square overflows to inf where a Python float's raises OverflowError.
     """
 
     HERMITIAN: tuple = ()
@@ -431,7 +420,7 @@ class Coefficients:
 
     @cached_property
     def norms(self) -> dict:
-        return {name: np.linalg.norm(getattr(self, name)) for name in ("A", *self.HERMITIAN)}
+        return {name: np.float64(_frobenius(getattr(self, name))) for name in ("A", *self.HERMITIAN)}
 
 
 def spectral_radius_estimate(m, max_doublings: int = 20) -> float:
@@ -449,14 +438,14 @@ def spectral_radius_estimate(m, max_doublings: int = 20) -> float:
     power = m
     log_scale = 0.0  # log of the product of norms divided out so far
     for j in range(1, max_doublings + 1):
-        nrm = float(np.linalg.norm(power))
+        nrm = _frobenius(power)
         if nrm == 0.0:
             return 0.0
         power = power / nrm
         power = power @ power
         log_scale = 2.0 * (log_scale + np.log(nrm))
         # estimate after j doublings: exp((log ||M^(2^j)||) / 2^j)
-    final = float(np.linalg.norm(power))
+    final = _frobenius(power)
     if final == 0.0:
         return 0.0
     return float(np.exp((log_scale + np.log(final)) / 2.0**max_doublings))

@@ -8,7 +8,7 @@ from functools import cache
 import numpy as np
 
 from .errors import SingularMatrix, SingularShift
-from .linalg import Coefficients, as_matrix, frobenius, lu_factor, symmetrize
+from .linalg import LU, Coefficients, _frobenius, as_matrix, lu_factor, symmetrize
 from .reporting import DEFAULT_BASIC_MAX_ITER, SolveOptions, SolveReport, iterate, relative
 from .stein import SteinProblem, smith_step
 
@@ -40,7 +40,7 @@ class LyapunovProblem(Coefficients):
             if c.shape[1] != self.n:
                 raise ValueError("C must have as many columns as A")
             gram = c.conj().T @ c
-            if np.linalg.norm(gram - self.Q) > 1e-10 * max(1.0, self.norms["Q"]):
+            if _frobenius(gram - self.Q) > 1e-10 * max(1.0, self.norms["Q"]):
                 raise ValueError("C^*C does not match Q")
 
 
@@ -89,14 +89,14 @@ class LowRankFactor:
         return symmetrize(self.Z @ self.Z.conj().T)
 
 
-def _resolvent(a, tau: complex) -> np.ndarray:
-    """R = (A - conj(tau) I)^{-1}, formed from one LU by its inverse (getri);
-    a shift whose conjugate is an eigenvalue of A raises SingularShift."""
+def _shifted_lu(a, tau: complex) -> LU:
+    """LU of A - conj(tau) I, the factors of every Cayley resolvent
+    (A - conj(tau) I)^{-1}; a shift whose conjugate is an eigenvalue of A
+    raises SingularShift."""
     try:
-        lu = lu_factor(a - np.conj(tau) * np.eye(a.shape[0]))
+        return lu_factor(a - np.conj(tau) * np.eye(a.shape[0]))
     except SingularMatrix as exc:
         raise SingularShift(f"conj(tau)={np.conj(tau)} is an eigenvalue of A") from exc
-    return lu.inverse()
 
 
 def cayley_reduce(a, q, tau: complex) -> tuple[np.ndarray, np.ndarray]:
@@ -104,11 +104,11 @@ def cayley_reduce(a, q, tau: complex) -> tuple[np.ndarray, np.ndarray]:
     and 2 Re(tau) (A^* - tau I)^{-1} Q (A - conj(tau) I)^{-1} of A^*X + XA + Q = 0,
     from one LU; for Re(tau) > 0 both equations have the same solution set.
     Both stay real for real A, Q and a tau with imaginary part 0.  The inverse
-    R = (A - conj(tau) I)^{-1} is formed once (`_resolvent`), and c(A) =
-    R (A + tau I) and R^* Q R are matrix products.
+    R = (A - conj(tau) I)^{-1} is formed once from the factors (getri), and
+    c(A) = R (A + tau I) and R^* Q R are matrix products.
     """
     tau = _shift(tau)
-    r = _resolvent(a, tau)
+    r = _shifted_lu(a, tau).inverse()
     c_of_a = r @ (a + tau * np.eye(a.shape[0]))
     q_tilde = (2 * tau.real) * (r.conj().T @ q @ r)
     return c_of_a, symmetrize(q_tilde)
@@ -126,7 +126,7 @@ def cayley_to_stein(problem: LyapunovProblem, tau: complex) -> SteinProblem:
 def _lyap_residual(x, nx: float, problem: LyapunovProblem) -> float:
     """`lyap_residual` of an X with ||X||_F = nx."""
     a, q = problem.A, problem.Q
-    raw = frobenius(a.conj().T @ x + x @ a + q)
+    raw = _frobenius(a.conj().T @ x + x @ a + q)
     return relative(raw, float(problem.norms["Q"] + 2 * problem.norms["A"] * nx))
 
 
@@ -135,7 +135,7 @@ def lyap_residual(x, problem: LyapunovProblem) -> float:
 
     X is not scanned: a non-finite X gives a non-finite residual."""
     x = np.asarray(x)
-    return _lyap_residual(x, frobenius(x), problem)
+    return _lyap_residual(x, _frobenius(x), problem)
 
 
 def adi_solve(
@@ -154,7 +154,7 @@ def adi_solve(
         if tau not in reductions:
             reductions[tau] = cayley_to_stein(problem, tau)
         x_next = smith_step(x, reductions[tau])
-        return (x_next, k + 1), frobenius(x_next - x)
+        return (x_next, k + 1), _frobenius(x_next - x)
 
     report, _ = iterate(
         (np.zeros_like(problem.Q), 0),
@@ -182,12 +182,17 @@ def lr_adi_solve(
         M_j = sqrt(Re tau_j / Re tau_{j-1}) R_j (A^* + conj(tau_{j-1}) I);
 
     with a single shift M_j = c(A)^*, the adjoint of `cayley_reduce`'s
-    Cayley transform, and V_j = (c(A)^*)^{j-1} V_1.  Each distinct shift
-    costs one LU and one inverse (getri), and each distinct (tau_{j-1},
-    tau_j) pair one n x n product forming M_j; a block then costs one
-    product of M_j with the n x p block V_{j-1} (C is p x n).  M_j is kept
-    as that product, so an exactly zero A^* + conj(tau_{j-1}) I gives exactly
-    zero blocks.
+    Cayley transform.  Each distinct shift costs one LU, and the block
+    width p (C is p x n) decides how a block is applied.  For p >= n, M_j
+    is formed once per distinct (tau_{j-1}, tau_j) pair, from one inverse
+    (getri) per distinct shift and one n x n product, and a block is one
+    product with M_j.  For p < n, a block is a product with A^* +
+    conj(tau_{j-1}) I and a triangular solve (getrs) with p right-hand
+    sides: forming M_j costs about 3n^3 flops and saves about 2n^2 p per
+    block, so it pays only once a pair has carried of order n columns,
+    which a factor of rank p << n does not reach in a few dozen blocks.
+    Either way A^* + conj(tau_{j-1}) I is applied as a factor, so where it
+    is exactly zero the blocks are too.
 
     Shifts are applied in forward order; since the Cayley factors commute,
     only the end-of-sweep Gramian matches ADI, not the intermediate ones.
@@ -200,23 +205,39 @@ def lr_adi_solve(
         raise ValueError("k must be >= 1")
     a_star = problem.A.conj().T
     eye = np.eye(problem.n)
+    wide = problem.C.shape[0] >= problem.n
 
     @cache
-    def adjoint_resolvent(tau):  # (A^* - tau I)^{-1}
-        return _resolvent(problem.A, tau).conj().T
+    def factor(tau):  # LU of A - conj(tau) I
+        return _shifted_lu(problem.A, tau)
+
+    @cache
+    def adjoint_resolvent(tau):  # R = (A^* - tau I)^{-1}
+        return factor(tau).inverse().conj().T
+
+    @cache
+    def shifted_adjoint(tau):  # A^* + conj(tau) I
+        return a_star + np.conj(tau) * eye
+
+    def resolve(tau, rhs):  # R rhs
+        return adjoint_resolvent(tau) @ rhs if wide else factor(tau).solve(rhs, trans=2)
 
     @cache
     def block_map(tau_prev, tau):  # M_j
-        scale = math.sqrt(tau.real / tau_prev.real)
-        return scale * (adjoint_resolvent(tau) @ (a_star + np.conj(tau_prev) * eye))
+        return math.sqrt(tau.real / tau_prev.real) * (adjoint_resolvent(tau) @ shifted_adjoint(tau_prev))
+
+    def next_block(tau_prev, tau, v):  # M_j V_{j-1}
+        if wide:
+            return block_map(tau_prev, tau) @ v
+        return math.sqrt(tau.real / tau_prev.real) * resolve(tau, shifted_adjoint(tau_prev) @ v)
 
     tau0 = shifts.at(0)
-    v = math.sqrt(2 * tau0.real) * (adjoint_resolvent(tau0) @ problem.C.conj().T)
+    v = math.sqrt(2 * tau0.real) * resolve(tau0, problem.C.conj().T)
     blocks = [v]
-    z_norm_sq = frobenius(v) ** 2  # ||Z||_F^2 of the blocks kept so far
+    z_norm_sq = _frobenius(v) ** 2  # ||Z||_F^2 of the blocks kept so far
     for j in range(1, k):
-        v = block_map(shifts.at(j - 1), shifts.at(j)) @ v
-        v_norm = frobenius(v)
+        v = next_block(shifts.at(j - 1), shifts.at(j), v)
+        v_norm = _frobenius(v)
         if v_norm <= opts.tol * math.sqrt(z_norm_sq):
             break
         blocks.append(v)

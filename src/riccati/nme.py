@@ -8,9 +8,9 @@ import numpy as np
 from .errors import NotConverged, SingularMatrix
 from .linalg import (
     Coefficients,
+    _frobenius,
     as_matrix,
     cholesky_factor,
-    frobenius,
     hermitian_part,
     solve_linear,
     spectral_radius_estimate,
@@ -79,9 +79,9 @@ class SpectralFactorization:
         q = as_matrix(self.Q)
         object.__setattr__(self, "X", x)
         object.__setattr__(self, "Y", y)
-        if np.linalg.norm(x @ y + a) > 1e-9 * max(1.0, np.linalg.norm(a)):
+        if _frobenius(x @ y + a) > 1e-9 * max(1.0, _frobenius(a)):
             raise ValueError("factorization does not match the coefficient -XY = A")
-        if np.linalg.norm(x + y.conj().T @ x @ y - q) > 1e-9 * np.linalg.norm(q):
+        if _frobenius(x + y.conj().T @ x @ y - q) > 1e-9 * _frobenius(q):
             raise ValueError("factorization does not match the coefficient X + Y^*XY = Q")
         if spectral_radius_estimate(y, 40) > 1 + 1e-6:
             raise ValueError("right factor is not stable: rho(Y) > 1")
@@ -93,7 +93,7 @@ def _definite_factor(m, what: str):
     try:
         return cholesky_factor(m)
     except SingularMatrix:
-        if not np.linalg.norm(m) < np.inf:
+        if not _frobenius(m) < np.inf:
             raise
         raise SingularMatrix(what) from None
 
@@ -133,7 +133,7 @@ def nme_residual(x, problem: NmeProblem) -> float:
     SingularMatrix.
     """
     x = np.asarray(x)
-    return map_residual(x, frobenius(x), _nme_map(x, problem))
+    return map_residual(x, _frobenius(x), _nme_map(x, problem))
 
 
 def nme_fixed_point_solve(
@@ -205,6 +205,6 @@ def uqme_residual(y, problem: NmeProblem) -> float:
     """Relative residual of the unilateral equation A + QY + A^*Y^2 = 0."""
     y = as_matrix(y)
     a, q = problem.A, problem.Q
-    raw = frobenius(a + q @ y + a.conj().T @ y @ y)
-    ny = frobenius(y)
+    raw = _frobenius(a + q @ y + a.conj().T @ y @ y)
+    ny = _frobenius(y)
     return relative(raw, float(problem.norms["A"]) * (1.0 + ny**2) + float(problem.norms["Q"]) * ny)

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import frobenius
+from .linalg import _frobenius
 
 __all__ = ["SolveOptions", "SolveReport", "DEFAULT_BASIC_MAX_ITER", "DEFAULT_DOUBLING_MAX_ITER"]
 
@@ -82,7 +82,7 @@ def map_residual(x, nx: float, mapped) -> float:
     """||F(X) - X|| / scale(nx) from mapped = (F(X), scale), the value of a
     fixed-point map at X, and nx = ||X||_F."""
     x_next, scale = mapped
-    return relative(frobenius(x_next - x), scale(nx))
+    return relative(_frobenius(x_next - x), scale(nx))
 
 
 def iterate(
@@ -111,7 +111,7 @@ def iterate(
     """
     max_iter = opts.resolve_max_iter(default_max_iter)
     t0 = time.perf_counter_ns()
-    history = [residual(state, frobenius(solution(state)))]
+    history = [residual(state, _frobenius(solution(state)))]
     times = [time.perf_counter_ns() - t0]
     updates: list[float] = []
     converged = history[0] <= opts.tol
@@ -123,7 +123,7 @@ def iterate(
             state, update = step(state)
             updates.append(update)
             iterations += 1
-            nx = frobenius(solution(state))
+            nx = _frobenius(solution(state))
             res = residual(state, nx)
             history.append(res)
             times.append(time.perf_counter_ns() - t0)
@@ -161,7 +161,7 @@ def iterate_map(x0, fmap, opts: SolveOptions, first_iteration: int = 0):
 
     def ahead(x):
         x_next, scale = fmap(x)
-        return x, x_next, frobenius(x_next - x), scale
+        return x, x_next, _frobenius(x_next - x), scale
 
     report, state = iterate(
         ahead(x0),
@@ -190,11 +190,11 @@ def iterate_doubling(state, step, residual, opts: SolveOptions):
 
     def advance(s):
         nxt = step(s)
-        return nxt, frobenius(nxt.Qk - s.Qk)
+        return nxt, _frobenius(nxt.Qk - s.Qk)
 
     def stop(s, update, nq):
         floor = 1e-4 * opts.tol * max(nq, 1.0)
-        return frobenius(s.Ak) ** 2 <= floor or update <= floor
+        return _frobenius(s.Ak) ** 2 <= floor or update <= floor
 
     return iterate(
         state,

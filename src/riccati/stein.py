@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import Coefficients, frobenius, symmetrize
+from .linalg import Coefficients, _frobenius, symmetrize
 from .reporting import SolveOptions, SolveReport, iterate_doubling, iterate_map, map_residual
 
 __all__ = [
@@ -53,7 +53,7 @@ def stein_residual(x, problem: SteinProblem) -> float:
 
     X is not scanned: a non-finite X gives a non-finite residual."""
     x = np.asarray(x)
-    return map_residual(x, frobenius(x), _smith_map(x, problem))
+    return map_residual(x, _frobenius(x), _smith_map(x, problem))
 
 
 def smith_solve(problem: SteinProblem, opts: SolveOptions = SolveOptions()) -> SolveReport:
@@ -89,5 +89,5 @@ def squared_smith_solve(problem: SteinProblem, opts: SolveOptions = SolveOptions
         lambda q, nq: map_residual(q, nq, _smith_map(q, problem)),
         opts,
     )
-    report.converged = report.converged and frobenius(state.Ak) < 1.0
+    report.converged = report.converged and _frobenius(state.Ak) < 1.0
     return report

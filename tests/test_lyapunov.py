@@ -157,6 +157,19 @@ class TestLrAdiSolve:
         report = adi_solve(p, shifts, SolveOptions(tol=1e-300, max_iter=2))
         assert np.linalg.norm(z.gramian() - report.X) <= 1e-10 * max(1.0, np.linalg.norm(report.X))
 
+    @pytest.mark.parametrize("p", [7, 8, 12])
+    def test_gramian_matches_adi_at_every_block_width(self, p):
+        # blocks narrower than n = 8 are solved, wider ones multiplied by M_j
+        rng = np.random.default_rng(7)
+        a = hermitian_negdef(rng, 8, 0.5, 8.0) + 0.1 * rng.standard_normal((8, 8))
+        q, c = random_psd(rng, 8, p=p)
+        problem = LyapunovProblem(A=a, Q=q, C=c)
+        shifts = ShiftSequence((1.0, 2.0 + 1.0j, 0.5))
+        z = lr_adi_solve(problem, shifts, 7)
+        report = adi_solve(problem, shifts, SolveOptions(tol=1e-300, max_iter=7))
+        assert z.Z.shape[1] == 7 * p
+        assert np.linalg.norm(z.gramian() - report.X) <= 1e-10 * np.linalg.norm(report.X)
+
     def test_geometric_residual_decay(self):
         rng = np.random.default_rng(5)
         a = hermitian_negdef(rng, 8, 1.0, 100.0)
@@ -172,10 +185,11 @@ class TestLrAdiSolve:
 
     @pytest.mark.parametrize("n", [1, 6, 32])
     @pytest.mark.parametrize("seed", range(4))
-    def test_gramian_is_exactly_hermitian(self, n, seed):
+    @pytest.mark.parametrize("rank", [None, 1], ids=["rank-n", "rank-1"])
+    def test_gramian_is_exactly_hermitian(self, n, seed, rank):
         # as every other Lyapunov route's X is; the product ZZ^* alone can
         # differ from its adjoint in the last bits
-        p = to_problem(gen_problem(GeneratorSpec(kind="lyapunov", n=n, seed=seed)))
+        p = to_problem(gen_problem(GeneratorSpec(kind="lyapunov", n=n, seed=seed, rank=rank)))
         report, _ = cli.SOLVERS["lyapunov"]["lr-adi"](p, SolveOptions(tol=1e-12), None)
         assert np.array_equal(report.X, report.X.conj().T)
 

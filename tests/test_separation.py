@@ -85,20 +85,11 @@ def _names_read(tree):
             yield node.name
 
 
-def test_norm_kernel_stays_out_of_generators_and_oracle():
-    """`linalg.frobenius` rounds differently from np.linalg.norm, so the code
-    whose bits fix every generated file (`generators` and the
-    `spectral_radius_estimate` that scales its A) never calls it, and
-    neither does `oracle`, which shares no code path with the solvers."""
-    package = Path(riccati.__file__).parent
-    trees = {stem: ast.parse((package / f"{stem}.py").read_text()) for stem in ("generators", "oracle", "linalg")}
-    (estimate,) = [
-        node
-        for node in trees["linalg"].body
-        if isinstance(node, ast.FunctionDef) and node.name == "spectral_radius_estimate"
-    ]
-    readers = {"generators": trees["generators"], "oracle": trees["oracle"], "spectral_radius_estimate": estimate}
-    assert [name for name, node in readers.items() if "frobenius" in set(_names_read(node))] == []
+def test_oracle_takes_numpys_norm():
+    """The package takes every Frobenius norm with `linalg._frobenius`, except
+    `oracle`, which shares no code path with the solvers it checks."""
+    path = Path(riccati.__file__).with_name("oracle.py")
+    assert "_frobenius" not in set(_names_read(ast.parse(path.read_text())))
 
 
 def test_only_oracle_imports_scipy_linalg():

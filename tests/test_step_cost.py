@@ -1,8 +1,8 @@
 """Each step does its work once: one factorization per matrix, one
 evaluation of the fixed-point map per iterate, one Cayley reduction per
-ADI shift, one inverse per LR-ADI shift, one norm per problem coefficient
-and per iterate, and no finiteness scan of an iterate the solver built
-itself."""
+ADI shift, one inverse per LR-ADI shift for blocks of n or more columns,
+one norm per problem coefficient and per iterate, and no finiteness scan
+of an iterate the solver built itself."""
 
 import sys
 from collections import Counter
@@ -43,6 +43,10 @@ from riccati.stein import smith_step
 
 def instance(kind, n=6, seed=1):
     return to_problem(gen_problem(GeneratorSpec(kind=kind, n=n, seed=seed)))
+
+
+def low_rank_instance(n=6, seed=1, rank=2):
+    return to_problem(gen_problem(GeneratorSpec(kind="lyapunov", n=n, seed=seed, rank=rank)))
 
 
 def counting(monkeypatch, module, name):
@@ -126,7 +130,8 @@ class TestOneFactorizationPerStep:
 class TestWideAppliesUseTheInverse:
     """A step that applies one operator to n or more columns forms the
     inverse from its LU factors (getri) and multiplies: one factorization,
-    one inverse and no triangular solve (getrs)."""
+    one inverse and no triangular solve (getrs).  LR-ADI blocks of fewer
+    than n columns keep the solve."""
 
     @pytest.fixture
     def kernels(self, monkeypatch, lu_calls):
@@ -146,16 +151,29 @@ class TestWideAppliesUseTheInverse:
 
     @pytest.mark.parametrize("shifts", [(1.5,), (1.5, 3.0)])
     def test_lr_adi(self, kernels, shifts):
-        # one LU and one inverse per distinct shift; every block, the first
-        # one included, is a matrix product
+        # C is n x n: one LU and one inverse per distinct shift; every block,
+        # the first one included, is a matrix product
         p = instance("lyapunov")
         factor = lr_adi_solve(p, ShiftSequence(shifts), 50, SolveOptions(tol=1e-12))
+        assert factor.block_width == p.n
         assert factor.Z.shape[1] // factor.block_width > 2 * len(shifts)
         assert kernels() == (len(shifts), len(shifts), 0)
 
-    def test_lr_adi_block_is_the_cayley_transform(self):
+    @pytest.mark.parametrize("shifts", [(1.5,), (1.5, 3.0)])
+    def test_narrow_lr_adi_blocks_are_solved(self, kernels, shifts):
+        # C has 2 < n rows: one LU per distinct shift, no inverse, and one
+        # solve per block, the ones past the stopping test included
+        p = low_rank_instance()
+        k = 200
+        factor = lr_adi_solve(p, ShiftSequence(shifts), k, SolveOptions(tol=1e-12))
+        blocks = factor.Z.shape[1] // factor.block_width
+        assert 2 * len(shifts) < blocks < k
+        assert kernels() == (len(shifts), 0, blocks + 1)
+
+    @pytest.mark.parametrize("rank", [None, 2], ids=["wide", "narrow"])
+    def test_lr_adi_block_is_the_cayley_transform(self, rank):
         # with one shift, V_j = c(A)^* V_{j-1}, c(A) as `cayley_reduce` forms it
-        p = instance("lyapunov")
+        p = instance("lyapunov") if rank is None else low_rank_instance()
         factor = lr_adi_solve(p, ShiftSequence((1.5,)), 2, SolveOptions(tol=1e-300))
         width = factor.block_width
         v0, v1 = factor.Z[:, :width], factor.Z[:, width : 2 * width]
@@ -215,7 +233,7 @@ class TestCoefficientNormsOncePerProblem:
     def test_two_solves(self, monkeypatch, kind, solve):
         # every residual scale reads the norms of the unchanged coefficients,
         # which the problem computes once, not once per iterate; a norm is
-        # np.linalg.norm or the per-iterate kernel linalg.frobenius
+        # np.linalg.norm or the package's norm kernel linalg._frobenius
         p = instance(kind, n=16, seed=0)
         stored = [getattr(p, name) for name in ("A", "G", "Q") if hasattr(p, name)]
         counts = [0] * len(stored)
@@ -227,7 +245,7 @@ class TestCoefficientNormsOncePerProblem:
             return norm(x, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "norm", counting_norm)
-        kernel_calls = counting_everywhere(monkeypatch, "frobenius", record=lambda x: x)
+        kernel_calls = counting_everywhere(monkeypatch, "_frobenius", record=lambda x: x)
         reports = [solve(p), solve(p)]
         assert all(r.converged and r.iterations > 1 for r in reports)
         assert kernel_calls
@@ -270,7 +288,7 @@ class TestNoScanPerIterate:
 class TestOneNormPerIterate:
     """`reporting.iterate` norms each iterate once, and the residual scale, the
     overflow guard and a doubling iteration's floor all read that norm.  A
-    norm is np.linalg.norm or the per-iterate kernel linalg.frobenius,
+    norm is np.linalg.norm or the package's norm kernel linalg._frobenius,
     through every riccati module that binds it.
 
     Sign norms each H_k twice: in `reporting.iterate` and in `lu_factor`'s
@@ -292,7 +310,7 @@ class TestOneNormPerIterate:
             return norm(x, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "norm", holding_norm)
-        kernel_calls = counting_everywhere(monkeypatch, "frobenius", record=lambda x: x)
+        kernel_calls = counting_everywhere(monkeypatch, "_frobenius", record=lambda x: x)
         report = run()
         assert report.converged and report.iterations > 2
         assert kernel_calls
