@@ -3,34 +3,42 @@
 Exit codes: 0 success (or converged), 2 iteration budget exhausted, 64 usage
 error, 1 anything else.  Traces and bench tables are CSV with a header row
 and LF line endings; wall-clock columns are informational only.
+
+A command imports only the modules it reaches: the solver modules, the
+generators and the oracles are read through `_Module` handles, so `solve`
+on a DARE file loads `dare` and no other kind's module, and `gen` and
+`solve` never load `oracle`.
 """
 
 import argparse
 import csv
 import gc
+import importlib
 import sys
 import time
 
 import numpy as np
 
-from . import oracle
-from .care import (
-    SignOptions,
-    care_residual,
-    care_sda_solve,
-    default_cayley_tau,
-    hamiltonian,
-    newton_care_solve,
-    sign_solve,
-)
-from .dare import DoublingState, build_symplectic, dare_fixed_point_solve, sda_solve, sda_step, wiener_hopf_check
 from .errors import OverflowGuard, RegionCountMismatch, RiccatiError
-from .generators import GeneratorSpec, gen_problem
 from .io import load_problem, save_problem, to_problem
-from .lyapunov import ShiftSequence, adi_solve, cayley_to_stein, lr_adi_solve, lyap_residual
-from .nme import CrState, cr_step, cyclic_reduction_solve, nme_fixed_point_solve, spectral_factorize, uqme_residual
 from .reporting import SolveOptions, SolveReport
-from .stein import smith_solve, squared_smith_solve
+
+
+class _Module:
+    """The package module `name`, imported at the first attribute read.
+    Every read goes to the module, so the binding called is the module's
+    current one, a patched one included."""
+
+    def __init__(self, name: str):
+        self._name = f"{__package__}.{name}"
+
+    def __getattr__(self, attr):
+        return getattr(importlib.import_module(self._name), attr)
+
+
+stein, lyapunov, dare, care, nme, generators, oracle = map(
+    _Module, ("stein", "lyapunov", "dare", "care", "nme", "generators", "oracle")
+)
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -38,9 +46,11 @@ EXIT_NOT_CONVERGED = 2
 EXIT_USAGE = 64
 
 
-def _shifts(problem, given) -> ShiftSequence:
-    """The given shifts, else the single shift default_cayley_tau(A)."""
-    return ShiftSequence(tuple(given)) if given else ShiftSequence((default_cayley_tau(problem.norms["A"], problem.n),))
+def _shifts(problem, given):
+    """The given shifts, else the single shift default_cayley_tau(A), as a
+    ShiftSequence."""
+    tau = tuple(given) if given else (care.default_cayley_tau(problem.norms["A"], problem.n),)
+    return lyapunov.ShiftSequence(tau)
 
 
 def _last(report):
@@ -58,9 +68,9 @@ def _lr_adi(problem, opts, shifts):
     """LR-ADI's report: the Gramian ZZ^* and its kept block count.  It records
     no residual history; the one residual of the Gramian it evaluates is both
     the printed value and its convergence test."""
-    factor = lr_adi_solve(problem, _shifts(problem, shifts), opts.resolve_max_iter(50), opts)
+    factor = lyapunov.lr_adi_solve(problem, _shifts(problem, shifts), opts.resolve_max_iter(50), opts)
     x = factor.gramian()
-    final = lyap_residual(x, problem)
+    final = lyapunov.lyap_residual(x, problem)
     blocks = factor.Z.shape[1] // factor.block_width
     return SolveReport(X=x, converged=final <= opts.tol, iterations=blocks), final
 
@@ -71,34 +81,39 @@ def _lr_adi(problem, opts, shifts):
 # reads it off the history, `_of_x` evaluates it for a cell whose history
 # holds another quantity (which `--trace` writes as it is).  `bench` pairs the
 # first (basic) and last (doubling) method of each kind, newton and sda for
-# care.  Solvers and residuals are looked up by name at call time, so patched
-# module bindings are the ones called.  Only the Lyapunov cells read shifts.
+# care.  Solvers and residuals are read from their modules at call time, so
+# a cell imports only its kind's modules and calls patched module bindings.
+# Only the Lyapunov cells read shifts.
 SOLVERS = {
     "stein": {
-        "smith": lambda p, o, s: _last(smith_solve(p, o)),
-        "squared-smith": lambda p, o, s: _last(squared_smith_solve(p, o)),
+        "smith": lambda p, o, s: _last(stein.smith_solve(p, o)),
+        "squared-smith": lambda p, o, s: _last(stein.squared_smith_solve(p, o)),
     },
     "lyapunov": {
-        "adi": lambda p, o, s: _last(adi_solve(p, _shifts(p, s), o)),
+        "adi": lambda p, o, s: _last(lyapunov.adi_solve(p, _shifts(p, s), o)),
         "lr-adi": _lr_adi,
         "cayley-smith": lambda p, o, s: _of_x(
-            squared_smith_solve(cayley_to_stein(p, _shifts(p, s).at(0)), o), lyap_residual, p
+            stein.squared_smith_solve(lyapunov.cayley_to_stein(p, _shifts(p, s).at(0)), o),
+            lyapunov.lyap_residual,
+            p,
         ),
     },
     "dare": {
-        "fixed-point": lambda p, o, s: _last(dare_fixed_point_solve(p, o).report),
-        "sda": lambda p, o, s: _last(sda_solve(p, o).report),
+        "fixed-point": lambda p, o, s: _last(dare.dare_fixed_point_solve(p, o).report),
+        "sda": lambda p, o, s: _last(dare.sda_solve(p, o).report),
     },
     "care": {
-        "newton": lambda p, o, s: _last(newton_care_solve(p, np.zeros((p.n, p.n)), o).report),
+        "newton": lambda p, o, s: _last(care.newton_care_solve(p, np.zeros((p.n, p.n)), o).report),
         "sign": lambda p, o, s: _of_x(
-            sign_solve(p, SignOptions(scaling="determinantal", tol=o.tol, max_iter=o.max_iter)).report, care_residual, p
+            care.sign_solve(p, care.SignOptions(scaling="determinantal", tol=o.tol, max_iter=o.max_iter)).report,
+            care.care_residual,
+            p,
         ),
-        "sda": lambda p, o, s: _last(care_sda_solve(p, opts=o).report),
+        "sda": lambda p, o, s: _last(care.care_sda_solve(p, opts=o).report),
     },
     "nme": {
-        "fixed-point": lambda p, o, s: _last(nme_fixed_point_solve(p, o)),
-        "cr": lambda p, o, s: _last(cyclic_reduction_solve(p, o)),
+        "fixed-point": lambda p, o, s: _last(nme.nme_fixed_point_solve(p, o)),
+        "cr": lambda p, o, s: _last(nme.cyclic_reduction_solve(p, o)),
     },
 }
 
@@ -125,7 +140,7 @@ def _solve_dispatch(pf, method: str, opts: SolveOptions, shifts):
 
 
 def cmd_gen(args) -> int:
-    spec = GeneratorSpec(
+    spec = generators.GeneratorSpec(
         kind=args.kind,
         n=args.n,
         seed=args.seed,
@@ -134,7 +149,7 @@ def cmd_gen(args) -> int:
         rank=args.rank,
         critical=args.critical,
     )
-    pf = gen_problem(spec)
+    pf = generators.gen_problem(spec)
     save_problem(args.output, pf)
     print(f"wrote {args.kind} instance n={args.n} seed={args.seed} to {args.output}")
     return EXIT_OK
@@ -186,16 +201,16 @@ def _verify_checks(pf) -> tuple[list, str | None]:
 
     if pf.kind == "stein":
         x_oracle = oracle.kron_stein_solve(problem)
-        report = squared_smith_solve(problem, opts)
+        report = stein.squared_smith_solve(problem, opts)
         rows.append(("kron-vs-squared-smith", rel(report.X, x_oracle), 1e-9))
     elif pf.kind == "lyapunov":
         x_oracle = oracle.kron_lyap_solve(problem)
-        report = adi_solve(problem, _shifts(problem, pf.shifts), SolveOptions(tol=1e-12, max_iter=5000))
+        report = lyapunov.adi_solve(problem, _shifts(problem, pf.shifts), SolveOptions(tol=1e-12, max_iter=5000))
         rows.append(("kron-vs-adi", rel(report.X, x_oracle), 1e-7))
     elif pf.kind == "dare":
         # S from the raw matrices, so indefinite-Q instances (like the
         # unit-circle example) still get the spectral checks
-        s = build_symplectic(*(pf.matrices[k] for k in ("A", "G", "Q")))
+        s = dare.build_symplectic(*(pf.matrices[k] for k in ("A", "G", "Q")))
         rows.append(("symplectic-structure", oracle.symplectic_structure_defect(s), 1e-12))
         try:
             subspace_x = oracle.invariant_subspace_solve(s, "inside_unit_circle")
@@ -205,14 +220,14 @@ def _verify_checks(pf) -> tuple[list, str | None]:
             defect = float(np.min(np.abs(np.abs(eigs) - 1.0)))
             rows.append(("region-count-mismatch-unit-circle", defect, 1e-8))
         if problem is not None:
-            sol = sda_solve(problem, opts)
+            sol = dare.sda_solve(problem, opts)
             if subspace_x is not None:
                 rows.append(("subspace-vs-sda", rel(sol.X_plus, subspace_x), 1e-8))
-                rows.append(("wiener-hopf", wiener_hopf_check(sol, problem), 1e-8))
+                rows.append(("wiener-hopf", dare.wiener_hopf_check(sol, problem), 1e-8))
             for k in range(min(sol.report.iterations, 3), -1, -1):
-                state = DoublingState(Ak=problem.A, Gk=problem.G, Qk=problem.Q, k=0)
+                state = dare.DoublingState(Ak=problem.A, Gk=problem.G, Qk=problem.Q, k=0)
                 for _ in range(k):
-                    state = sda_step(state)
+                    state = dare.sda_step(state)
                 try:
                     value = oracle.sda_factorization_check(state, problem)
                 except OverflowGuard:
@@ -220,25 +235,25 @@ def _verify_checks(pf) -> tuple[list, str | None]:
                 rows.append((f"doubling-factorization-k{k}", value, 1e-7))
                 break
     elif pf.kind == "care":
-        h = hamiltonian(problem)
+        h = care.hamiltonian(problem)
         rows.append(("hamiltonian-pairing", oracle.hamiltonian_pairing_defect(h), 1e-6))
         rows.append(("sign-squaring-relation", oracle.sign_relation_check(problem, 1.0, 2), 1e-8))
-        sol = care_sda_solve(problem, opts=opts)
+        sol = care.care_sda_solve(problem, opts=opts)
         x_oracle = oracle.invariant_subspace_solve(h, "left_half_plane")
         rows.append(("subspace-vs-sda", rel(sol.X_plus, x_oracle), 1e-7))
-        sol_sign = sign_solve(problem, SignOptions(scaling="determinantal"))
+        sol_sign = care.sign_solve(problem, care.SignOptions(scaling="determinantal"))
         rows.append(("sign-vs-sda", rel(sol_sign.X_plus, sol.X_plus), 1e-7))
     else:  # nme
         schur_state = oracle.tridiag_schur_oracle(problem, 4)
-        cr_state = cr_step(CrState(Ak=problem.A, Qk=problem.Q, Uk=problem.Q, k=0))
+        cr_state = nme.cr_step(nme.CrState(Ak=problem.A, Qk=problem.Q, Uk=problem.Q, k=0))
         defect = max(
             rel(schur_state.Ak, cr_state.Ak),
             rel(schur_state.Qk, cr_state.Qk),
             rel(schur_state.Uk, cr_state.Uk),
         )
         rows.append(("tridiag-schur-vs-cr", defect, 1e-10))
-        fact = spectral_factorize(problem, opts)
-        rows.append(("spectral-factor-uqme", uqme_residual(fact.Y, problem), 1e-8))
+        fact = nme.spectral_factorize(problem, opts)
+        rows.append(("spectral-factor-uqme", nme.uqme_residual(fact.Y, problem), 1e-8))
     return rows, None
 
 
@@ -261,15 +276,16 @@ def cmd_bench(args) -> int:
         print("bench: --sizes must be a nonempty list of sizes >= 1", file=sys.stderr)
         return EXIT_USAGE
     methods = list(SOLVERS[args.kind])
+    # every option is checked before anything is written
+    opts = SolveOptions(tol=args.tol)
+    specs = [generators.GeneratorSpec(kind=args.kind, n=n, seed=args.seed, radius=args.radius) for n in args.sizes]
     out = open(args.output, "w", newline="\n") if args.output else sys.stdout
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["kind", "method", "n", "iterations", "final_residual", "wall_ns"])
-    opts = SolveOptions(tol=args.tol)
     status = EXIT_OK
     try:
-        for n in args.sizes:
-            spec = GeneratorSpec(kind=args.kind, n=n, seed=args.seed, radius=args.radius)
-            pf = gen_problem(spec)
+        for spec in specs:
+            pf = generators.gen_problem(spec)
             for method in (methods[0], methods[-1]):
                 t0 = time.perf_counter_ns()
                 try:
@@ -280,7 +296,7 @@ def cmd_bench(args) -> int:
                 wall = time.perf_counter_ns() - t0
                 if not converged:
                     status = max(status, EXIT_NOT_CONVERGED)
-                writer.writerow([args.kind, method, n, iters, repr(float(final_res)), wall])
+                writer.writerow([args.kind, method, spec.n, iters, repr(float(final_res)), wall])
     finally:
         if out is not sys.stdout:
             out.close()

@@ -9,30 +9,28 @@ both formats, and only a lyapunov file may carry them.
 """
 
 import base64
+import importlib
 import json
 from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
-from .care import CareProblem
-from .dare import DareProblem
 from .errors import ParseError
-from .lyapunov import LyapunovProblem
-from .nme import NmeProblem
-from .stein import SteinProblem
 
-# the solver-facing problem class of each kind; a file of that kind must hold
-# the matrices its fields without a default name (C is optional for lyapunov)
-PROBLEMS = {
-    "stein": SteinProblem,
-    "lyapunov": LyapunovProblem,
-    "dare": DareProblem,
-    "care": CareProblem,
-    "nme": NmeProblem,
-}
-KINDS = tuple(PROBLEMS)
+# each kind names the solver module that defines its problem class
+KINDS = ("stein", "lyapunov", "dare", "care", "nme")
 
-__all__ = ["ProblemFile", "load_problem", "save_problem", "to_problem"]
+__all__ = ["ProblemFile", "load_problem", "save_problem", "to_problem", "problem_class"]
+
+
+def problem_class(kind: str):
+    """The solver-facing problem class of `kind`: SteinProblem from `stein`,
+    and so on.  A file of that kind must hold the matrices its fields
+    without a default name (C is optional for lyapunov).  The kind's module
+    is imported on first use, so reading a file loads no other kind's."""
+    if kind not in KINDS:
+        raise ParseError(f"unknown kind {kind!r}")
+    return getattr(importlib.import_module(f"{__package__}.{kind}"), f"{kind.capitalize()}Problem")
 
 
 @dataclass
@@ -46,11 +44,10 @@ class ProblemFile:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ParseError(f"unknown kind {self.kind!r}")
+        cls = problem_class(self.kind)
         if self.shifts is not None and self.kind != "lyapunov":
             raise ParseError(f"kind={self.kind} has field 'shifts', which only kind=lyapunov reads")
-        for f in fields(PROBLEMS[self.kind]):
+        for f in fields(cls):
             if f.default is MISSING and f.name not in self.matrices:
                 raise ParseError(f"kind={self.kind} requires matrix {f.name!r}")
         for name, m in self.matrices.items():
@@ -165,7 +162,5 @@ def load_problem(path) -> ProblemFile:
 def to_problem(pf: ProblemFile):
     """Instantiate the validated solver-facing problem object from the
     matrices its fields name."""
-    if pf.kind not in PROBLEMS:
-        raise ParseError(f"unknown kind {pf.kind!r}")
-    cls = PROBLEMS[pf.kind]
+    cls = problem_class(pf.kind)
     return cls(**{f.name: pf.matrices[f.name] for f in fields(cls) if f.name in pf.matrices})

@@ -20,15 +20,17 @@ is `_frobenius`: np.linalg.norm's arithmetic, bit for bit, without its
 dispatch on `ord` and `axis`.  `oracle` alone keeps np.linalg.norm, because
 it shares no code path with the solvers it checks.
 
-This is the one module of the package that imports scipy, and it does so
+This is the one module of the package that reaches scipy, and it does so
 the first time a kernel needs LAPACK or BLAS.  The kernels (and `care`'s
 sign extraction) take their routines from `_lapack` and `_blas`, which load
 scipy's compiled `_flapack` and `_fblas` modules straight from their files
-and never import the `scipy.linalg` package: that import takes longer than
-numpy's own, and most of it is array-API and testing machinery, not LAPACK.
-Only `oracle`'s Schur form, on the `verify` path, imports `scipy.linalg`,
-through `_scipy_linalg`.  A command that only generates or reads problems,
-such as `riccati gen`, runs on numpy alone.
+and import no module of the `scipy` package.  The `scipy.linalg` import
+takes longer than numpy's own, most of it array-API and testing machinery,
+not LAPACK, and the files are found by `importlib.util.find_spec`, without
+running scipy's top-level `__init__`.  Only `oracle`'s Schur form, on the
+`verify` path, imports `scipy.linalg`, through `_scipy_linalg`.  A command
+that only generates or reads problems, such as `riccati gen`, runs on numpy
+alone.
 
 Data is checked where it enters: `as_matrix` scans for non-finite entries,
 and the problem classes, `hermitian_part`, `psd_check` and
@@ -79,21 +81,24 @@ def _extension(name: str):
     loaded once from its file in the scipy package, or taken from
     sys.modules when scipy.linalg already loaded it.
 
-    The module initializes single-phase, so loading it registers it in
-    sys.modules; the entry is removed again, so that a later `import
-    scipy.linalg` builds its own module object from the cached definition,
-    holding the same routine objects.  A missing file raises ImportError.
+    The scipy package is located with `importlib.util.find_spec`, which
+    reads its directory without importing it.  The module initializes
+    single-phase, so loading it registers it in sys.modules; the entry is
+    removed again, so that a later `import scipy.linalg` builds its own
+    module object from the cached definition, holding the same routine
+    objects.  A missing scipy or a missing file raises ImportError.
     """
-    import scipy
-
     full_name = f"scipy.linalg.{name}"
     if full_name in sys.modules:
         return sys.modules[full_name]
-    directory = Path(scipy.__file__).parent / "linalg"
+    spec = importlib.util.find_spec("scipy")
+    if spec is None or not spec.submodule_search_locations:
+        raise ImportError("scipy is not installed")
+    directory = Path(spec.submodule_search_locations[0]) / "linalg"
     paths = [directory / (name + suffix) for suffix in importlib.machinery.EXTENSION_SUFFIXES]
     path = next((path for path in paths if path.is_file()), None)
     if path is None:
-        raise ImportError(f"scipy {scipy.__version__} has no {name} extension in {directory}")
+        raise ImportError(f"scipy has no {name} extension in {directory}")
     module = importlib.util.module_from_spec(importlib.util.spec_from_file_location(full_name, path))
     sys.modules.pop(full_name, None)
     return module

@@ -412,7 +412,7 @@ class TestSolveCommand:
         assert "G: matrix is not Hermitian within tolerance" in capsys.readouterr().err
 
     def test_lr_adi_reports_its_own_blocks(self, tmp_path, capsys, monkeypatch):
-        import riccati.cli
+        import riccati.lyapunov
         from riccati.care import default_cayley_tau
         from riccati.lyapunov import ShiftSequence, lr_adi_solve
 
@@ -425,7 +425,7 @@ class TestSolveCommand:
         def no_dense_adi(*args, **kwargs):
             raise AssertionError("lr-adi must not run the dense ADI iteration")
 
-        monkeypatch.setattr(riccati.cli, "adi_solve", no_dense_adi)
+        monkeypatch.setattr(riccati.lyapunov, "adi_solve", no_dense_adi)
         capsys.readouterr()
         assert main(["solve", "--input", str(path), "--method", "lr-adi"]) == 0
         assert f"iterations: {blocks}\n" in capsys.readouterr().out
@@ -626,6 +626,19 @@ class TestBenchCommand:
         assert capsys.readouterr().out == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "option, message",
+        [(["--tol", "0"], "tol must be positive and finite"), (["--radius", "2"], "radius must lie in (0, 1.5]")],
+    )
+    def test_invalid_option_exit_1_before_any_output(self, tmp_path, capsys, option, message):
+        out = tmp_path / "bench.csv"
+        assert main(["bench", "--kind", "dare", "--sizes", "4", *option, "--output", str(out)]) == 1
+        assert main(["bench", "--kind", "dare", "--sizes", "4", *option]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n" * 2
+        assert not out.exists()
+
 
 class TestProblemSizeField:
     @pytest.mark.parametrize("n", ["abc", 2.5, True, None, 0])
@@ -656,16 +669,54 @@ def _fresh_interpreter(code: str, cwd) -> str:
 
 
 SCIPY_MODULES = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+RICCATI_MODULES = "sorted(m for m in sys.modules if m.split('.')[0] == 'riccati')"
+# what every command loads: the package, the CLI, and the modules a problem
+# file and its options need
+COMMAND_MODULES = ["riccati", "riccati.cli", "riccati.errors", "riccati.io", "riccati.linalg", "riccati.reporting"]
 
 
 class TestImportBoundary:
     """Importing the package and generating a problem run on numpy alone;
     a solve loads scipy's compiled LAPACK and BLAS modules at the first
-    factorization, but never the scipy.linalg package."""
+    factorization, but no module of the scipy package.  A command loads no
+    solver module of another kind, and no oracle."""
 
     def test_import_loads_no_scipy(self, tmp_path):
         out = _fresh_interpreter(f"import sys, riccati, riccati.cli; print({SCIPY_MODULES})", tmp_path)
         assert out == "[]\n"
+
+    def test_import_loads_no_solver_module(self, tmp_path):
+        out = _fresh_interpreter(f"import sys, riccati; print({RICCATI_MODULES})", tmp_path)
+        assert out == "['riccati']\n"
+
+    @staticmethod
+    def _command_modules(argv, cwd) -> tuple[str, str]:
+        """The printed sorted lists of the riccati and the scipy modules that
+        `cli.main(argv)` loads in a fresh interpreter, which must return 0."""
+        code = (
+            "import sys\n"
+            "from riccati import cli\n"
+            f"assert cli.main({argv!r}) == 0\n"
+            f"print({RICCATI_MODULES}, {SCIPY_MODULES}, sep='\\n')\n"
+        )
+        *_, riccati_modules, scipy_modules = _fresh_interpreter(code, cwd).splitlines()
+        return riccati_modules, scipy_modules
+
+    def test_gen_loads_only_its_kind_and_the_generators(self, tmp_path):
+        argv = ["gen", "--kind", "dare", "--n", "6", "--output", "p.json"]
+        modules, scipy_modules = self._command_modules(argv, tmp_path)
+        assert modules == str(sorted(COMMAND_MODULES + ["riccati.dare", "riccati.generators"]))
+        assert scipy_modules == "[]"
+
+    @pytest.mark.parametrize("method", ["sda", "fixed-point"])
+    def test_solve_loads_only_its_kind_and_no_scipy_package(self, tmp_path, method):
+        """A DARE solve loads `dare` alone of the solver modules, neither the
+        generators nor the oracles, and leaves every module of the scipy
+        package, `scipy` itself included, out of sys.modules."""
+        main(["gen", "--kind", "dare", "--n", "6", "--output", str(tmp_path / "p.json")])
+        modules, scipy_modules = self._command_modules(["solve", "--input", "p.json", "--method", method], tmp_path)
+        assert modules == str(sorted(COMMAND_MODULES + ["riccati.dare"]))
+        assert scipy_modules == "[]"
 
     def test_gen_loads_no_scipy_and_solve_still_converges(self, tmp_path):
         code = (

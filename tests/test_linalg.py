@@ -1,3 +1,4 @@
+import importlib.util
 import math
 import sys
 import warnings
@@ -161,6 +162,15 @@ class TestRoutineLookup:
     def test_loader_reuses_an_imported_module(self, name):
         assert f"scipy.linalg.{name}" in sys.modules
         assert _extension.__wrapped__(name) is sys.modules[f"scipy.linalg.{name}"]
+
+    def test_loader_names_a_missing_extension(self):
+        with pytest.raises(ImportError, match=r"scipy has no _absent extension in .*linalg"):
+            _extension.__wrapped__("_absent")
+
+    def test_loader_needs_scipy(self, monkeypatch):
+        monkeypatch.setattr(importlib.util, "find_spec", lambda name: None)
+        with pytest.raises(ImportError, match="scipy is not installed"):
+            _extension.__wrapped__("_absent")
 
 
 def _frobenius_cases():

@@ -14,7 +14,7 @@ import scipy.linalg as sla
 
 from riccati.cli import SOLVERS
 from riccati.generators import GeneratorSpec, gen_problem
-from riccati.io import PROBLEMS, to_problem
+from riccati.io import problem_class, to_problem
 from riccati.lyapunov import LyapunovProblem, ShiftSequence, adi_solve, cayley_reduce
 from riccati.reporting import SolveOptions
 
@@ -80,7 +80,7 @@ def nme_certificate(x, m):
 
 
 def solve(kind, method, matrices, shifts=None) -> np.ndarray:
-    report, _ = SOLVERS[kind][method](PROBLEMS[kind](**matrices), OPTS, shifts)
+    report, _ = SOLVERS[kind][method](problem_class(kind)(**matrices), OPTS, shifts)
     return report.X
 
 

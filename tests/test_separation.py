@@ -11,9 +11,21 @@ import riccati
 SOLVER_MODULES = ("stein", "lyapunov", "dare", "care", "nme", "reporting", "linalg")
 
 
+def _is_importlib_call(node) -> bool:
+    """Whether node calls a function of `importlib` or of one of its
+    submodules, such as `importlib.import_module` or `importlib.util.find_spec`."""
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    while isinstance(func, ast.Attribute):
+        func = func.value
+    return isinstance(func, ast.Name) and func.id == "importlib"
+
+
 def _imported_modules(tree):
     """Every module an import statement anywhere in the tree names, including
-    the names of a `from package import module` form."""
+    the names of a `from package import module` form, and every module an
+    `importlib` call names by a string literal as its first argument."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             yield from (alias.name for alias in node.names)
@@ -21,6 +33,10 @@ def _imported_modules(tree):
             if node.module:
                 yield node.module
             yield from (alias.name for alias in node.names)
+        elif _is_importlib_call(node) and node.args:
+            first = node.args[0]
+            if isinstance(first, ast.Constant) and isinstance(first.value, str):
+                yield first.value
 
 
 @pytest.mark.parametrize("module", SOLVER_MODULES)
@@ -62,16 +78,24 @@ def test_equation_module_runs_map_or_doubling_driver(module):
 
 
 def test_only_linalg_imports_scipy():
-    """scipy is imported once in the package, by `linalg`, at the first
-    factorization; every other module reaches LAPACK through `linalg`."""
+    """scipy is reached in the package by `linalg` alone, at the first
+    factorization, whether by an import statement or through `importlib`;
+    every other module reaches LAPACK through `linalg`."""
     package = Path(riccati.__file__).parent
     importers = [
         path.stem
         for path in sorted(package.glob("*.py"))
-        for name in _imported_modules(ast.parse(path.read_text(), filename=str(path)))
-        if name.split(".")[0] == "scipy"
+        if any(
+            name.split(".")[0] == "scipy"
+            for name in _imported_modules(ast.parse(path.read_text(), filename=str(path)))
+        )
     ]
     assert importers == ["linalg"]
+
+
+def test_the_scan_sees_importlib_calls():
+    tree = ast.parse('import importlib.util\nimportlib.util.find_spec("scipy")\nimportlib.import_module("x.y")')
+    assert sorted(_imported_modules(tree)) == ["importlib.util", "scipy", "x.y"]
 
 
 def _names_read(tree):

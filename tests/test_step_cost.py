@@ -354,7 +354,7 @@ class TestOneFinalResidual:
     def test_lr_adi(self, monkeypatch):
         """`solve --method lr-adi` evaluates the residual of its Gramian once,
         for both its converged flag and the printed residual."""
-        calls = counting(monkeypatch, cli, "lyap_residual")
+        calls = counting(monkeypatch, lyapunov, "lyap_residual")
         pf = gen_problem(GeneratorSpec(kind="lyapunov", n=32, seed=0))
         report, final = cli._solve_dispatch(pf, "lr-adi", SolveOptions(tol=1e-12), None)
         assert report.converged and final <= 1e-12
