@@ -27,7 +27,7 @@ from .linalg import (
     lu_factor,
     symmetrize,
 )
-from .lyapunov import cayley_reduce
+from .lyapunov import cayley_reduce, default_cayley_tau
 from .reporting import DEFAULT_DOUBLING_MAX_ITER, SolveOptions, iterate, iterate_map, relative
 from .stein import SmithState, squared_smith_step
 
@@ -36,7 +36,6 @@ __all__ = [
     "SignOptions",
     "hamiltonian",
     "care_to_dare",
-    "default_cayley_tau",
     "care_sda_solve",
     "sign_solve",
     "sign_extract",
@@ -132,12 +131,6 @@ def care_to_dare(problem: CareProblem, tau: float) -> DareProblem:
         return DareProblem(A=m[:n, :n], G=symmetrize(m[:n, n:]), Q=symmetrize(-m[n:, :n]))
     except ValueError as exc:
         raise StructureLoss(f"Cayley reduction with tau={tau} lost definiteness") from exc
-
-
-def default_cayley_tau(norm_a: float, n: int) -> float:
-    """The Cayley shift max(1, ||A||_F / sqrt(n)) of an n x n matrix A, from
-    norm_a = ||A||_F (a problem's `norms["A"]`)."""
-    return max(1.0, float(norm_a) / math.sqrt(n))
 
 
 def care_sda_solve(

@@ -4,10 +4,9 @@ Exit codes: 0 success (or converged), 2 iteration budget exhausted, 64 usage
 error, 1 anything else.  Traces and bench tables are CSV with a header row
 and LF line endings; wall-clock columns are informational only.
 
-A command imports only the modules it reaches: the solver modules, the
-generators and the oracles are read through `_Module` handles, so `solve`
-on a DARE file loads `dare` and no other kind's module, and `gen` and
-`solve` never load `oracle`.
+A command imports only the modules it reaches, through `_Module` handles:
+`gen` loads no solver module, `solve` on a DARE file loads `dare` and no
+other kind's module, and neither loads `oracle`.
 """
 
 import argparse
@@ -21,7 +20,6 @@ import numpy as np
 
 from .errors import OverflowGuard, RegionCountMismatch, RiccatiError
 from .io import load_problem, save_problem, to_problem
-from .reporting import SolveOptions, SolveReport
 
 
 class _Module:
@@ -36,8 +34,8 @@ class _Module:
         return getattr(importlib.import_module(self._name), attr)
 
 
-stein, lyapunov, dare, care, nme, generators, oracle = map(
-    _Module, ("stein", "lyapunov", "dare", "care", "nme", "generators", "oracle")
+stein, lyapunov, dare, care, nme, reporting, generators, oracle = map(
+    _Module, ("stein", "lyapunov", "dare", "care", "nme", "reporting", "generators", "oracle")
 )
 
 EXIT_OK = 0
@@ -49,7 +47,7 @@ EXIT_USAGE = 64
 def _shifts(problem, given):
     """The given shifts, else the single shift default_cayley_tau(A), as a
     ShiftSequence."""
-    tau = tuple(given) if given else (care.default_cayley_tau(problem.norms["A"], problem.n),)
+    tau = tuple(given) if given else (lyapunov.default_cayley_tau(problem.norms["A"], problem.n),)
     return lyapunov.ShiftSequence(tau)
 
 
@@ -72,7 +70,7 @@ def _lr_adi(problem, opts, shifts):
     x = factor.gramian()
     final = lyapunov.lyap_residual(x, problem)
     blocks = factor.Z.shape[1] // factor.block_width
-    return SolveReport(X=x, converged=final <= opts.tol, iterations=blocks), final
+    return reporting.SolveReport(X=x, converged=final <= opts.tol, iterations=blocks), final
 
 
 # Every (kind, method) of the CLI as solver(problem, opts, shifts) ->
@@ -133,7 +131,7 @@ def _write_trace(path, history, elapsed):
             writer.writerow([i, repr(float(res)), int(ns)])
 
 
-def _solve_dispatch(pf, method: str, opts: SolveOptions, shifts):
+def _solve_dispatch(pf, method: str, opts, shifts):
     """Run one (kind, method) cell with the given shifts, else the file's;
     returns (report, final_residual)."""
     return SOLVERS[pf.kind][method](to_problem(pf), opts, shifts or pf.shifts)
@@ -171,7 +169,7 @@ def cmd_solve(args) -> int:
             file=sys.stderr,
         )
         return EXIT_USAGE
-    opts = SolveOptions(tol=args.tol, max_iter=args.max_iter)
+    opts = reporting.SolveOptions(tol=args.tol, max_iter=args.max_iter)
     report, final_res = _solve_dispatch(pf, args.method, opts, args.shifts)
     if args.trace:
         _write_trace(args.trace, report.residual_history, report.elapsed_ns)
@@ -196,7 +194,7 @@ def _verify_checks(pf) -> tuple[list, str | None]:
         which = "EIG_CAP, the eigen-based" if eigen else "KRON_CAP, the Kronecker"
         return [], f"n={pf.n} exceeds {cap} (oracle.{which} oracles' size cap; RICCATI_ORACLE_CAP overrides it)"
     rows: list = []
-    opts = SolveOptions(tol=1e-13)
+    opts = reporting.SolveOptions(tol=1e-13)
     rel = lambda x, y: float(np.linalg.norm(x - y) / max(np.linalg.norm(y), 1e-300))
 
     if pf.kind == "stein":
@@ -205,7 +203,8 @@ def _verify_checks(pf) -> tuple[list, str | None]:
         rows.append(("kron-vs-squared-smith", rel(report.X, x_oracle), 1e-9))
     elif pf.kind == "lyapunov":
         x_oracle = oracle.kron_lyap_solve(problem)
-        report = lyapunov.adi_solve(problem, _shifts(problem, pf.shifts), SolveOptions(tol=1e-12, max_iter=5000))
+        adi_opts = reporting.SolveOptions(tol=1e-12, max_iter=5000)
+        report = lyapunov.adi_solve(problem, _shifts(problem, pf.shifts), adi_opts)
         rows.append(("kron-vs-adi", rel(report.X, x_oracle), 1e-7))
     elif pf.kind == "dare":
         # S from the raw matrices, so indefinite-Q instances (like the
@@ -277,7 +276,7 @@ def cmd_bench(args) -> int:
         return EXIT_USAGE
     methods = list(SOLVERS[args.kind])
     # every option is checked before anything is written
-    opts = SolveOptions(tol=args.tol)
+    opts = reporting.SolveOptions(tol=args.tol)
     specs = [generators.GeneratorSpec(kind=args.kind, n=n, seed=args.seed, radius=args.radius) for n in args.sizes]
     out = open(args.output, "w", newline="\n") if args.output else sys.stdout
     writer = csv.writer(out, lineterminator="\n")

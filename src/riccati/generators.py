@@ -22,9 +22,10 @@ class GeneratorSpec:
     """Parameters of one random instance.
 
     `radius` targets the spectral radius (stein), `interval` the spectrum of
-    -A (lyapunov), `rank` the number of rows of the low-rank factor C, and
-    `critical` asks for an instance whose closed-loop spectrum touches the
-    stability boundary (dare, nme).
+    -A (lyapunov), `rank` the rows of the factor C where one is drawn (stein,
+    lyapunov, critical dare, non-critical nme), and `critical` asks for an
+    instance whose closed-loop spectrum touches the stability boundary
+    (stein, dare, nme).
     """
 
     kind: str
@@ -51,6 +52,9 @@ class GeneratorSpec:
             raise InvalidSpec("rank must satisfy 1 <= rank <= n")
         if self.critical and self.kind not in ("dare", "nme", "stein"):
             raise InvalidSpec(f"critical flag is not supported for kind {self.kind!r}")
+        drawn = self.kind in ("stein", "lyapunov") or (self.kind, self.critical) in (("dare", True), ("nme", False))
+        if self.rank is not None and not drawn:
+            raise InvalidSpec(f"rank is not supported for kind {self.kind!r} with critical={self.critical}")
 
     @property
     def p(self) -> int:

@@ -6,6 +6,9 @@ entries in C order} and carries a top-level "format": 2.  A file without
 "format" is format 1, where each matrix is a nested list of [re, im] pairs;
 those files still load to the same arrays.  Shifts are [re, im] pairs in
 both formats, and only a lyapunov file may carry them.
+`load_problem` checks a file's kind, shifts and matrix shapes, and
+`to_problem`, the one builder of a problem object, its matrix names; a
+`ProblemFile` checks nothing, so reading a file loads no solver module.
 """
 
 import base64
@@ -24,10 +27,8 @@ __all__ = ["ProblemFile", "load_problem", "save_problem", "to_problem", "problem
 
 
 def problem_class(kind: str):
-    """The solver-facing problem class of `kind`: SteinProblem from `stein`,
-    and so on.  A file of that kind must hold the matrices its fields
-    without a default name (C is optional for lyapunov).  The kind's module
-    is imported on first use, so reading a file loads no other kind's."""
+    """The solver-facing problem class of `kind` (SteinProblem from `stein`,
+    ...), its module imported on first use, so a command loads no other kind's."""
     if kind not in KINDS:
         raise ParseError(f"unknown kind {kind!r}")
     return getattr(importlib.import_module(f"{__package__}.{kind}"), f"{kind.capitalize()}Problem")
@@ -42,23 +43,6 @@ class ProblemFile:
     matrices: dict
     shifts: list | None = None
     metadata: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        cls = problem_class(self.kind)
-        if self.shifts is not None and self.kind != "lyapunov":
-            raise ParseError(f"kind={self.kind} has field 'shifts', which only kind=lyapunov reads")
-        for f in fields(cls):
-            if f.default is MISSING and f.name not in self.matrices:
-                raise ParseError(f"kind={self.kind} requires matrix {f.name!r}")
-        for name, m in self.matrices.items():
-            m = np.asarray(m, dtype=np.complex128)
-            if m.ndim != 2:
-                raise ParseError(f"matrix {name!r} is not two-dimensional")
-            if name != "C" and m.shape != (self.n, self.n):
-                raise ParseError(f"matrix {name!r} has shape {m.shape}, expected ({self.n}, {self.n})")
-            if name == "C" and m.shape[1] != self.n:
-                raise ParseError(f"matrix 'C' must have {self.n} columns")
-            self.matrices[name] = m
 
 
 _LE_COMPLEX = np.dtype("<c16")
@@ -150,17 +134,28 @@ def load_problem(path) -> ProblemFile:
             shifts = [complex(re, im) for re, im in doc["shifts"]]
         except (TypeError, ValueError):
             raise ParseError(f"{path}: field 'shifts' must be a list of [re, im] pairs") from None
-    return ProblemFile(
-        kind=doc["kind"],
-        n=n,
-        matrices=matrices,
-        shifts=shifts,
-        metadata=doc.get("metadata", {}),
-    )
+    kind = doc["kind"]
+    if kind not in KINDS:
+        raise ParseError(f"unknown kind {kind!r}")
+    if shifts is not None and kind != "lyapunov":
+        raise ParseError(f"kind={kind} has field 'shifts', which only kind=lyapunov reads")
+    for name, m in matrices.items():
+        if name != "C" and m.shape != (n, n):
+            raise ParseError(f"matrix {name!r} has shape {m.shape}, expected ({n}, {n})")
+        if name == "C" and m.shape[1] != n:
+            raise ParseError(f"matrix 'C' must have {n} columns")
+    return ProblemFile(kind=kind, n=n, matrices=matrices, shifts=shifts, metadata=doc.get("metadata", {}))
 
 
 def to_problem(pf: ProblemFile):
-    """Instantiate the validated solver-facing problem object from the
-    matrices its fields name."""
+    """The solver-facing problem object of `pf`, the one place a problem
+    class is built: every matrix its kind requires must be present, and
+    every matrix present must be one the kind reads."""
     cls = problem_class(pf.kind)
-    return cls(**{f.name: pf.matrices[f.name] for f in fields(cls) if f.name in pf.matrices})
+    for f in fields(cls):
+        if f.default is MISSING and f.name not in pf.matrices:
+            raise ParseError(f"kind={pf.kind} requires matrix {f.name!r}")
+    unread = sorted(pf.matrices.keys() - {f.name for f in fields(cls)})
+    if unread:
+        raise ParseError(f"kind={pf.kind} has matrix {unread[0]!r}, which it does not read")
+    return cls(**pf.matrices)

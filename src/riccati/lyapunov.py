@@ -18,6 +18,7 @@ __all__ = [
     "LowRankFactor",
     "cayley_reduce",
     "cayley_to_stein",
+    "default_cayley_tau",
     "adi_solve",
     "lr_adi_solve",
     "lyap_residual",
@@ -49,6 +50,12 @@ def _shift(tau) -> complex:
     shift keeps real data in real arithmetic, and a complex one promotes."""
     tau = complex(tau)
     return tau.real if tau.imag == 0 else tau
+
+
+def default_cayley_tau(norm_a: float, n: int) -> float:
+    """The default Cayley and ADI shift max(1, ||A||_F / sqrt(n)) of an n x n
+    A, from norm_a = ||A||_F (a problem's `norms["A"]`)."""
+    return max(1.0, float(norm_a) / math.sqrt(n))
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ own message: one case per check that no other test reaches."""
 import numpy as np
 import pytest
 
-from riccati import DareProblem, LowRankFactor, LyapunovProblem, ProblemFile, ShiftSequence, lr_adi_solve
+from riccati import DareProblem, LowRankFactor, LyapunovProblem, ProblemFile, ShiftSequence, lr_adi_solve, to_problem
 from riccati.care import sign_extract
 from riccati.errors import ParseError
 from riccati.linalg import as_matrix, psd_check, spectral_radius_estimate
@@ -50,7 +50,7 @@ CASES = {
         ValueError,
         "square 2n x 2n",
     ),
-    "problem-file-kind": (lambda: ProblemFile(kind="bogus", n=1, matrices={}), ParseError, "unknown kind"),
+    "problem-file-kind": (lambda: to_problem(ProblemFile(kind="bogus", n=1, matrices={})), ParseError, "unknown kind"),
     # x = 1/2 is the minimal solution of x + 1/x = 5/2, so Y = -A/X = -2
     "spectral-factor-unstable": (
         lambda: SpectralFactorization(X=[[0.5]], Y=[[-2.0]], A=[[1.0]], Q=[[2.5]]),

@@ -22,6 +22,7 @@ from riccati.errors import InnerSolveFailed, RankMismatch, SingularShift, Singul
 from riccati.generators import GeneratorSpec, gen_problem
 from riccati.io import to_problem
 from riccati.linalg import psd_check
+from riccati.lyapunov import default_cayley_tau
 from riccati.oracle import invariant_subspace_solve
 
 
@@ -399,7 +400,7 @@ class TestCareSdaRetry:
         import riccati.care
 
         reduce = riccati.care.care_to_dare
-        base = riccati.care.default_cayley_tau(SCALAR.norms["A"], SCALAR.n)
+        base = default_cayley_tau(SCALAR.norms["A"], SCALAR.n)
         taus = []
 
         def lose_definiteness_at_base(problem, tau):

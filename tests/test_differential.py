@@ -30,9 +30,9 @@ from riccati import (
     sign_solve,
     squared_smith_solve,
 )
-from riccati.care import default_cayley_tau
 from riccati.generators import GeneratorSpec, gen_problem
 from riccati.io import to_problem
+from riccati.lyapunov import default_cayley_tau
 
 N = 64
 SIZES = (64, 128)

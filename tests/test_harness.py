@@ -47,8 +47,18 @@ class TestProblemFileIO:
     def test_missing_matrix_named(self, tmp_path):
         path = tmp_path / "missing.json"
         path.write_text(json.dumps({"kind": "stein", "n": 1, "matrices": {"A": [[[0.5, 0.0]]]}}))
-        with pytest.raises(ParseError, match="Q"):
-            load_problem(path)
+        pf = load_problem(path)
+        with pytest.raises(ParseError, match="kind=stein requires matrix 'Q'"):
+            to_problem(pf)
+
+    def test_unread_matrix_named(self, tmp_path):
+        """A Lyapunov file with `c` in place of `C` is rejected where the
+        problem is built, not solved with its factor dropped."""
+        path = tmp_path / "lyap.json"
+        save_problem(path, ProblemFile(kind="lyapunov", n=1, matrices={"A": [[-1.0]], "Q": [[1.0]], "c": [[1.0]]}))
+        pf = load_problem(path)
+        with pytest.raises(ParseError, match="kind=lyapunov has matrix 'c', which it does not read"):
+            to_problem(pf)
 
     @pytest.mark.parametrize(
         "fields, named",
@@ -58,6 +68,7 @@ class TestProblemFileIO:
             ({"matrices": []}, "matrices"),
             ({"format": 2}, "matrix 'A' must be an object"),
             ({"matrices": {"A": [[-1.0]], "Q": [[[1.0, 0.0]]]}}, "matrix 'A' is not a nested array"),
+            ({"kind": "bogus"}, "unknown kind 'bogus'"),
         ],
     )
     def test_malformed_field_named(self, tmp_path, fields, named):
@@ -84,15 +95,25 @@ class TestProblemFileIO:
     @pytest.mark.parametrize(
         "kind, matrices, named",
         [
-            ("stein", {"A": [0.5], "Q": [[1.0]]}, "'A' is not two-dimensional"),
+            # format 1 and format 2 each reject it in their own words
+            ("stein", {"A": [0.5], "Q": [[1.0]]}, r"'A'( is not a nested array|: field 'shape' must be \[rows, cols)"),
             ("stein", {"A": [[0.5, 0.0]], "Q": [[1.0]]}, r"'A' has shape \(1, 2\)"),
             ("lyapunov", {"A": [[-1.0]], "Q": [[1.0]], "C": [[1.0, 0.0]]}, "'C' must have 1 columns"),
         ],
         ids=["1-d", "wrong-shape", "c-columns"],
     )
-    def test_problem_file_rejects_bad_matrix(self, kind, matrices, named):
-        with pytest.raises(ParseError, match=named):
-            ProblemFile(kind=kind, n=1, matrices=matrices)
+    def test_problem_file_rejects_bad_matrix(self, tmp_path, kind, matrices, named):
+        """`load_problem` rejects the matrix in either file format; a
+        ProblemFile itself is a plain record and checks nothing."""
+        pf = ProblemFile(kind=kind, n=1, matrices=matrices)
+        v2 = tmp_path / "v2.json"
+        save_problem(v2, pf)
+        v1 = tmp_path / "v1.json"
+        pairs = {name: np.stack([np.real(m), np.imag(m)], axis=-1).tolist() for name, m in matrices.items()}
+        v1.write_text(json.dumps({"kind": kind, "n": 1, "matrices": pairs}))
+        for path in (v1, v2):
+            with pytest.raises(ParseError, match=named):
+                load_problem(path)
 
     @pytest.mark.parametrize("kind", ["stein", "dare", "care", "nme"])
     def test_shifts_only_in_lyapunov_file(self, tmp_path, kind):
@@ -288,6 +309,24 @@ class TestGenerators:
         with pytest.raises(InvalidSpec, match="critical"):
             GeneratorSpec(kind="care", n=4, seed=0, critical=True)
 
+    @pytest.mark.parametrize("kind, critical", [("care", False), ("dare", False), ("nme", True)])
+    def test_rank_only_where_a_factor_is_drawn(self, kind, critical):
+        """These builders draw no factor of `rank` rows, so a rank would be
+        recorded in the file's metadata and not used."""
+        with pytest.raises(InvalidSpec, match=f"rank is not supported for kind '{kind}' with critical={critical}"):
+            GeneratorSpec(kind=kind, n=4, seed=0, rank=2, critical=critical)
+
+    @pytest.mark.parametrize(
+        "kind, critical", [("stein", False), ("stein", True), ("lyapunov", False), ("dare", True), ("nme", False)]
+    )
+    def test_rank_sets_the_factor_rank(self, kind, critical):
+        pf = gen_problem(GeneratorSpec(kind=kind, n=4, seed=0, rank=2, critical=critical))
+        assert pf.metadata["rank"] == 2
+        q = pf.matrices["Q"]
+        if kind == "nme":  # Q = C^*C + (2||A||_F + 1) I
+            q = q - (2 * np.linalg.norm(pf.matrices["A"]) + 1.0) * np.eye(4)
+        assert np.linalg.matrix_rank(q, tol=1e-8 * np.linalg.norm(q)) == 2
+
     def test_gen_invalid_spec_exit_1(self, tmp_path, capsys):
         path = tmp_path / "p.json"
         assert main(["gen", "--kind", "stein", "--n", "0", "--output", str(path)]) == 1
@@ -413,8 +452,7 @@ class TestSolveCommand:
 
     def test_lr_adi_reports_its_own_blocks(self, tmp_path, capsys, monkeypatch):
         import riccati.lyapunov
-        from riccati.care import default_cayley_tau
-        from riccati.lyapunov import ShiftSequence, lr_adi_solve
+        from riccati.lyapunov import ShiftSequence, default_cayley_tau, lr_adi_solve
 
         path = tmp_path / "lyap.json"
         main(["gen", "--kind", "lyapunov", "--n", "4", "--seed", "2", "--output", str(path)])
@@ -670,16 +708,27 @@ def _fresh_interpreter(code: str, cwd) -> str:
 
 SCIPY_MODULES = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
 RICCATI_MODULES = "sorted(m for m in sys.modules if m.split('.')[0] == 'riccati')"
-# what every command loads: the package, the CLI, and the modules a problem
-# file and its options need
-COMMAND_MODULES = ["riccati", "riccati.cli", "riccati.errors", "riccati.io", "riccati.linalg", "riccati.reporting"]
+# what `gen` loads: the package, the CLI, the problem file and the generators
+GEN_MODULES = ["riccati", "riccati.cli", "riccati.errors", "riccati.generators", "riccati.io", "riccati.linalg"]
+# what `solve` loads besides its kind's modules: the package, the CLI, the
+# problem file and the solver options and reports
+SOLVE_MODULES = ["riccati", "riccati.cli", "riccati.errors", "riccati.io", "riccati.linalg", "riccati.reporting"]
+# the solver modules whose code each kind's methods run
+KIND_MODULES = {
+    "stein": ["stein"],
+    "lyapunov": ["lyapunov", "stein"],
+    "dare": ["dare"],
+    "care": ["care", "dare", "lyapunov", "stein"],
+    "nme": ["nme"],
+}
 
 
 class TestImportBoundary:
     """Importing the package and generating a problem run on numpy alone;
     a solve loads scipy's compiled LAPACK and BLAS modules at the first
-    factorization, but no module of the scipy package.  A command loads no
-    solver module of another kind, and no oracle."""
+    factorization, but no module of the scipy package.  `gen` loads no
+    solver module, a solve loads the modules its kind's methods run and no
+    other, and neither loads an oracle."""
 
     def test_import_loads_no_scipy(self, tmp_path):
         out = _fresh_interpreter(f"import sys, riccati, riccati.cli; print({SCIPY_MODULES})", tmp_path)
@@ -702,20 +751,23 @@ class TestImportBoundary:
         *_, riccati_modules, scipy_modules = _fresh_interpreter(code, cwd).splitlines()
         return riccati_modules, scipy_modules
 
-    def test_gen_loads_only_its_kind_and_the_generators(self, tmp_path):
-        argv = ["gen", "--kind", "dare", "--n", "6", "--output", "p.json"]
+    @pytest.mark.parametrize("kind", sorted(KIND_MODULES))
+    def test_gen_loads_no_solver_module(self, tmp_path, kind):
+        argv = ["gen", "--kind", kind, "--n", "6", "--output", "p.json"]
         modules, scipy_modules = self._command_modules(argv, tmp_path)
-        assert modules == str(sorted(COMMAND_MODULES + ["riccati.dare", "riccati.generators"]))
+        assert modules == str(sorted(GEN_MODULES))
         assert scipy_modules == "[]"
 
-    @pytest.mark.parametrize("method", ["sda", "fixed-point"])
-    def test_solve_loads_only_its_kind_and_no_scipy_package(self, tmp_path, method):
-        """A DARE solve loads `dare` alone of the solver modules, neither the
-        generators nor the oracles, and leaves every module of the scipy
-        package, `scipy` itself included, out of sys.modules."""
-        main(["gen", "--kind", "dare", "--n", "6", "--output", str(tmp_path / "p.json")])
+    @pytest.mark.parametrize("kind, method", sorted((k, m) for k in SOLVERS for m in SOLVERS[k]))
+    def test_solve_loads_only_its_kind_and_no_scipy_package(self, tmp_path, kind, method):
+        """A solve loads the solver modules its kind's methods run (a CARE
+        solve runs the DARE, Lyapunov and Stein steps; a Lyapunov solve
+        loads neither `care` nor `dare`), neither the generators nor the
+        oracles, and leaves every module of the scipy package, `scipy`
+        itself included, out of sys.modules."""
+        main(["gen", "--kind", kind, "--n", "6", "--output", str(tmp_path / "p.json")])
         modules, scipy_modules = self._command_modules(["solve", "--input", "p.json", "--method", method], tmp_path)
-        assert modules == str(sorted(COMMAND_MODULES + ["riccati.dare"]))
+        assert modules == str(sorted(SOLVE_MODULES + [f"riccati.{m}" for m in KIND_MODULES[kind]]))
         assert scipy_modules == "[]"
 
     def test_gen_loads_no_scipy_and_solve_still_converges(self, tmp_path):

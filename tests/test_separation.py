@@ -150,3 +150,14 @@ def test_only_cli_run_touches_the_collector():
     (run,) = [node for node in trees["cli"].body if isinstance(node, ast.FunctionDef) and node.name == "run"]
     assert _collector_calls(run)
     assert _collector_calls(trees["cli"]) == _collector_calls(run)
+
+
+def test_only_to_problem_builds_a_problem():
+    """`io.to_problem` is the one place a problem file becomes a problem
+    object: no other code of `io` reads the problem classes, so reading and
+    writing a file import no solver module."""
+    path = Path(riccati.__file__).with_name("io.py")
+    tree = ast.parse(path.read_text(), filename=str(path))
+    (to_problem,) = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "to_problem"]
+    calls = {line for name, line in _called_names(tree) if name == "problem_class"}
+    assert calls and calls == {line for name, line in _called_names(to_problem) if name == "problem_class"}
